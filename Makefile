@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-all vet fmt-check race test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check race test bench-engine bench-json bench-diff clean
 
 all: build
 
@@ -93,8 +93,16 @@ tier-durable:
 	$(GO) run ./cmd/visachaos -race -kills 3 -seed 1
 	./scripts/smoke_recovery.sh
 
+# Tier bench: the repo benchmark's own tests. bench/ is a separate Go
+# module, so the root `go test ./...` never reaches it. The suite checks
+# the percentile rules, BENCHMARK.json against the workload catalog and the
+# failure accounting, then smokes every workload (-quick), traced and
+# untraced, against the pinned goldens in bench/testdata.
+tier-bench:
+	cd bench && $(GO) test ./...
+
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable
+tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench
 
 # Records the serial-vs-parallel wall-clock of the full evaluation
 # (`experiments -all -n 20` equivalent; see bench_test.go).
@@ -109,7 +117,7 @@ bench-engine:
 # wide thresholds). After regenerating, bench-diff gates the record against
 # the previous one.
 bench-json:
-	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis' -benchtime 1x -benchmem . && \
+	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis|WCETTable' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'PipelineFeed' -benchmem ./internal/simple/ ./internal/ooo/ && \
 	  $(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchmem ./internal/obs/ ) \
 	  | $(GO) run ./cmd/benchjson -o BENCH_10.json

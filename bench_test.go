@@ -12,11 +12,13 @@ import (
 
 	"visa/internal/cache"
 	"visa/internal/clab"
+	"visa/internal/core"
 	"visa/internal/exec"
 	"visa/internal/isa"
 	"visa/internal/memsys"
 	"visa/internal/obs"
 	"visa/internal/ooo"
+	"visa/internal/power"
 	"visa/internal/rt"
 	"visa/internal/simple"
 	"visa/internal/wcet"
@@ -280,6 +282,30 @@ func BenchmarkWCETAnalysis(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := an.Analyze(1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWCETTable measures the table builds an experiment set-up runs
+// on a fresh analyzer: the 37-point table, then the Figure 3 table at 1.5x
+// every frequency. Passes after the first reuse the penalty-invariant loop
+// summaries, which BenchmarkWCETAnalysis's single pass never does.
+func BenchmarkWCETTable(b *testing.B) {
+	prog := mustProgram(b, clab.ByName("adpcm"))
+	boosted := power.Points()
+	for i := range boosted {
+		boosted[i].FMHz = int(float64(boosted[i].FMHz) * 1.5)
+	}
+	for i := 0; i < b.N; i++ {
+		an, err := wcet.New(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.BuildWCETTable(an); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.BuildWCETTableAt(an, boosted); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -262,6 +262,7 @@ func TestSIGTERMDrains(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	waitDraining(t, d.base)
 	// While draining, new submissions are refused with 503 (the listener
 	// may also already be gone — both prove no new work is admitted).
 	req, _ := http.NewRequest("POST", d.base+"/v1/jobs", strings.NewReader(planJSON(1)))
@@ -295,6 +296,29 @@ func TestSIGTERMDrains(t *testing.T) {
 	if !strings.Contains(d.stderr.buf.String(), "drained") {
 		t.Errorf("stderr missing drain confirmation:\n%s", d.stderr.buf.String())
 	}
+}
+
+// waitDraining polls /v1/healthz until the daemon reports it is draining
+// or no longer accepts connections. Signal delivery is asynchronous, so a
+// request sent right after SIGTERM can still reach a daemon that has not
+// started its drain.
+func waitDraining(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/healthz")
+		if err != nil {
+			return // listener closed: the drain has begun
+		}
+		var h serve.HealthResponse
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err == nil && h.Draining {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("daemon did not report draining after SIGTERM")
 }
 
 // waitJob polls a job to a terminal state and returns the full response.

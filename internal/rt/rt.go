@@ -85,8 +85,10 @@ func ParseProc(s string) (Proc, error) {
 
 // Setup bundles everything derived statically from one benchmark: the
 // compiled program, the analyzer, the profile-derived D-cache pad, and the
-// per-operating-point WCET table. Building it is expensive (37 analysis
-// passes), so it is cached per benchmark.
+// per-operating-point WCET table. Building it is expensive (a full
+// analysis pass, then 36 passes that re-simulate only the loop phases that
+// depend on the miss penalty, plus the profiling runs), so it is cached per
+// benchmark.
 type Setup struct {
 	Bench    *clab.Benchmark
 	Prog     *isa.Program

@@ -37,8 +37,19 @@ type Analyzer struct {
 	valueRep *absint.Report
 
 	pathsMemo map[loopKey]loopPathsVal
-	sumMemo   map[sumKey]int64
+	sumMemo   map[sumKey]summary
 	fnMemo    map[fnKey]int64
+
+	// partMemo holds the parts of loop summaries that are the same at every
+	// operating point, so a table build simulates them once instead of once
+	// per frequency. The miss penalty reaches a phase only through
+	// Pipeline.Feed's miss path (a penBus read) and through nested
+	// summaries, so a part whose computation left penReads unchanged is
+	// penalty-invariant. penReads is a plain counter: an analyzer is
+	// single-threaded, and phases nest, so an enclosing phase sees every read
+	// its nested phases make.
+	partMemo map[partKey]*loopParts
+	penReads int64
 
 	// engPool recycles simulation engines across phases. A full analysis
 	// times hundreds of thousands of path phases, and building a fresh
@@ -65,6 +76,31 @@ type sumKey struct {
 	loop int
 	pen  int64
 	cold bool
+}
+
+// summary is a memoized loop total; penDep records whether computing it
+// read the miss penalty, so a hit can pass that dependence on to the
+// enclosing phase.
+type summary struct {
+	cycles int64
+	penDep bool
+}
+
+// partKey is sumKey without the penalty.
+type partKey struct {
+	fn   string
+	loop int
+	cold bool
+}
+
+// loopParts memoizes the penalty-invariant parts of one loop summary. A
+// part is recorded only when computing it made no penalty read.
+type loopParts struct {
+	first, steady, exit int64
+	join                simple.State // entry state of the exit paths
+	haveFirst           bool
+	haveSteady          bool
+	haveExit            bool
 }
 
 type fnKey struct {
@@ -101,8 +137,9 @@ func newFromGraph(prog *isa.Program, g *cfg.Graph) (*Analyzer, error) {
 		SnippetCycles: simple.DefaultSnippetCycles,
 		dcPad:         make([]int64, maxInt(prog.NumSubTasks(), 1)),
 		pathsMemo:     map[loopKey]loopPathsVal{},
-		sumMemo:       map[sumKey]int64{},
+		sumMemo:       map[sumKey]summary{},
 		fnMemo:        map[fnKey]int64{},
+		partMemo:      map[partKey]*loopParts{},
 	}
 	a.Cats = categorize(g, a.CacheCfg)
 
@@ -151,15 +188,9 @@ func (a *Analyzer) Analyze(fMHz int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		worst := int64(0)
-		for _, p := range paths {
-			c, err := a.simPath(main, p, pen, missAlwaysCold(a))
-			if err != nil {
-				return nil, err
-			}
-			if c > worst {
-				worst = c
-			}
+		worst, err := a.worstPath(main, paths, pen, missAlwaysCold(a))
+		if err != nil {
+			return nil, err
 		}
 		worst += a.dcPad[min(i, len(a.dcPad)-1)] * pen
 		res.SubTasks = append(res.SubTasks, worst)
@@ -281,9 +312,16 @@ func (missCache) Access(uint32) bool { return false }
 
 // penBus supplies the miss penalty at the analysis frequency. It is held
 // by pointer so a pooled engine can be retuned to a new frequency in place.
-type penBus struct{ pen int64 }
+// Every read bumps the analyzer's penReads counter.
+type penBus struct {
+	pen   int64
+	reads *int64
+}
 
-func (b *penBus) Latency() int64 { return b.pen }
+func (b *penBus) Latency() int64 {
+	*b.reads++
+	return b.pen
+}
 
 // engUnit is one pooled simulation engine with the handles needed to
 // re-arm it for a new phase.
@@ -318,7 +356,7 @@ func (a *Analyzer) engine(pen int64, miss missFn) *engUnit {
 	if dcMiss {
 		dc = missCache{}
 	}
-	bus := &penBus{pen}
+	bus := &penBus{pen: pen, reads: &a.penReads}
 	eng := simple.New(ic, dc, bus)
 	eng.SnippetCycles = a.SnippetCycles
 	return &engUnit{eng: eng, ic: ic, bus: bus, dcMiss: dcMiss}
@@ -336,6 +374,21 @@ func (a *Analyzer) simPath(fg *cfg.FuncGraph, p path, pen int64, miss missFn) (i
 	u := a.engine(pen, miss)
 	defer a.release(u)
 	return a.runPath(u.eng, fg, p, pen, true)
+}
+
+// worstPath returns the longest simPath time over paths.
+func (a *Analyzer) worstPath(fg *cfg.FuncGraph, paths []path, pen int64, miss missFn) (int64, error) {
+	worst := int64(0)
+	for _, p := range paths {
+		c, err := a.simPath(fg, p, pen, miss)
+		if err != nil {
+			return 0, err
+		}
+		if c > worst {
+			worst = c
+		}
+	}
+	return worst, nil
 }
 
 // runPath feeds a path into eng. coldInner selects the charging context for
@@ -366,60 +419,90 @@ func (a *Analyzer) runPath(eng *simple.Pipeline, fg *cfg.FuncGraph, p path, pen 
 
 // loopTotal returns the WCET in cycles of one complete execution of loop l:
 // worst first iteration, Bound-1 worst steady iterations with pipeline
-// overlap, and the worst exit path (paper §3.3's fix-point approach).
+// overlap, and the worst exit path (paper §3.3's fix-point approach). Each
+// of the three parts is taken from partMemo when an earlier operating point
+// found it penalty-invariant.
 func (a *Analyzer) loopTotal(fg *cfg.FuncGraph, l *cfg.Loop, pen int64, cold bool) (int64, error) {
 	key := sumKey{fg.Fn.Name, l.ID, pen, cold}
 	if v, ok := a.sumMemo[key]; ok {
-		return v, nil
+		if v.penDep {
+			a.penReads++ // the enclosing phase depends on pen through v
+		}
+		return v.cycles, nil
 	}
 	pv, err := a.pathsOf(fg, l)
 	if err != nil {
 		return 0, err
 	}
-
-	if l.Bound == 0 {
-		// Only the exit path runs (header condition false immediately).
-		worst := int64(0)
-		for _, p := range pv.exit {
-			c, err := a.simPath(fg, p, pen, missFirstIter(a, fg, l, cold))
-			if err != nil {
-				return 0, err
-			}
-			if c > worst {
-				worst = c
-			}
-		}
-		a.sumMemo[key] = worst
-		return worst, nil
+	pk := partKey{fg.Fn.Name, l.ID, cold}
+	parts := a.partMemo[pk]
+	if parts == nil {
+		parts = &loopParts{}
+		a.partMemo[pk] = parts
 	}
+	reads := a.penReads
 
-	// Worst first iteration, cold-charged.
-	first := int64(0)
-	for _, p := range pv.body {
-		c, err := a.simPath(fg, p, pen, missFirstIter(a, fg, l, cold))
-		if err != nil {
+	// Worst first iteration, cold-charged. With a zero bound only the exit
+	// path runs (header condition false immediately), also cold-charged.
+	first := parts.first
+	if !parts.haveFirst {
+		r := a.penReads
+		coldPaths := pv.body
+		if l.Bound == 0 {
+			coldPaths = pv.exit
+		}
+		if first, err = a.worstPath(fg, coldPaths, pen, missFirstIter(a, fg, l, cold)); err != nil {
 			return 0, err
 		}
-		if c > first {
-			first = c
+		parts.first, parts.haveFirst = first, a.penReads == r
+	}
+	total := first
+
+	if l.Bound > 0 {
+		// The exit paths start from the steady-state join, so the exit part
+		// is penalty-invariant only when the steady part is too.
+		steady, join := parts.steady, parts.join
+		steadyInv := parts.haveSteady
+		if !steadyInv {
+			r := a.penReads
+			if steady, join, err = a.loopSteady(fg, pv.body, pen); err != nil {
+				return 0, err
+			}
+			steadyInv = a.penReads == r
+			parts.steady, parts.join, parts.haveSteady = steady, join, steadyInv
 		}
+		exit := parts.exit
+		if !parts.haveExit {
+			r := a.penReads
+			if exit, err = a.loopExit(fg, pv.exit, pen, join); err != nil {
+				return 0, err
+			}
+			parts.exit, parts.haveExit = exit, steadyInv && a.penReads == r
+		}
+		total += int64(l.Bound-1)*steady + exit
 	}
 
-	// Steady-state per-iteration time with pipeline overlap: self-repeat
-	// each path to a fix-point, join the normalized exit states of all
-	// paths into a single pessimistic entry state, and re-time each path
-	// from that state. The join is a componentwise upper bound of any
-	// reachable inter-iteration state, so the resulting delta is safe for
-	// arbitrary path interleavings.
+	a.sumMemo[key] = summary{total, a.penReads != reads}
+	return total, nil
+}
+
+// loopSteady returns the steady-state per-iteration time of a loop's body
+// paths with pipeline overlap, and the joined entry state for its exit
+// paths: self-repeat each path to a fix-point, join the normalized exit
+// states of all paths into a single pessimistic entry state, and re-time
+// each path from that state. The join is a componentwise upper bound of any
+// reachable inter-iteration state, so the resulting delta is safe for
+// arbitrary path interleavings.
+func (a *Analyzer) loopSteady(fg *cfg.FuncGraph, body []path, pen int64) (int64, simple.State, error) {
 	steady := int64(0)
 	join := simple.State{}
-	for _, p := range pv.body {
+	for _, p := range body {
 		u := a.engine(pen, missSteady(a))
 		prev := int64(0)
 		for rep := 0; rep < 4; rep++ {
 			if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
 				a.release(u)
-				return 0, err
+				return 0, join, err
 			}
 			delta := u.eng.Now() - prev
 			prev = u.eng.Now()
@@ -430,23 +513,25 @@ func (a *Analyzer) loopTotal(fg *cfg.FuncGraph, l *cfg.Loop, pen int64, cold boo
 		join = join.Join(u.eng.State().Shifted(-u.eng.Now()))
 		a.release(u)
 	}
-	for _, p := range pv.body {
+	for _, p := range body {
 		u := a.engine(pen, missSteady(a))
-		u.ic.reset(missSteady(a))
 		u.eng.SetState(join)
 		if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
 			a.release(u)
-			return 0, err
+			return 0, join, err
 		}
 		if u.eng.Now() > steady {
 			steady = u.eng.Now()
 		}
 		a.release(u)
 	}
+	return steady, join, nil
+}
 
-	// Worst exit path from the joined steady state.
+// loopExit returns the worst exit path time from the joined steady state.
+func (a *Analyzer) loopExit(fg *cfg.FuncGraph, exits []path, pen int64, join simple.State) (int64, error) {
 	exit := int64(0)
-	for _, p := range pv.exit {
+	for _, p := range exits {
 		u := a.engine(pen, missSteady(a))
 		u.eng.SetState(join)
 		if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
@@ -458,10 +543,7 @@ func (a *Analyzer) loopTotal(fg *cfg.FuncGraph, l *cfg.Loop, pen int64, cold boo
 		}
 		a.release(u)
 	}
-
-	total := first + int64(l.Bound-1)*steady + exit
-	a.sumMemo[key] = total
-	return total, nil
+	return exit, nil
 }
 
 // fnTotal returns the cold WCET of one invocation of fn, from its entry to
@@ -469,6 +551,7 @@ func (a *Analyzer) loopTotal(fg *cfg.FuncGraph, l *cfg.Loop, pen int64, cold boo
 func (a *Analyzer) fnTotal(fn string, pen int64) (int64, error) {
 	key := fnKey{fn, pen}
 	if v, ok := a.fnMemo[key]; ok {
+		a.penReads++ // conservatively: a cold callee almost always misses
 		return v, nil
 	}
 	fg := a.Graph.Funcs[fn]
@@ -479,15 +562,9 @@ func (a *Analyzer) fnTotal(fn string, pen int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	worst := int64(0)
-	for _, p := range paths {
-		c, err := a.simPath(fg, p, pen, missAlwaysCold(a))
-		if err != nil {
-			return 0, err
-		}
-		if c > worst {
-			worst = c
-		}
+	worst, err := a.worstPath(fg, paths, pen, missAlwaysCold(a))
+	if err != nil {
+		return 0, err
 	}
 	a.fnMemo[key] = worst
 	return worst, nil

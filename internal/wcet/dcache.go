@@ -111,8 +111,9 @@ func (a *Analyzer) UseStaticDCache() (StaticDCacheResult, error) {
 			a.dcPad[i] = 0 // every access charged in the path simulation
 		}
 	}
-	a.sumMemo = map[sumKey]int64{}
+	a.sumMemo = map[sumKey]summary{}
 	a.fnMemo = map[fnKey]int64{}
+	a.partMemo = map[partKey]*loopParts{}
 	return res, nil
 }
 
