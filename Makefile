@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check race test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
 
 all: build
 
@@ -11,9 +11,8 @@ build:
 tier1: build
 	$(GO) test ./...
 
-# Tier 2: static hygiene plus race-detector runs over the runtime-critical
-# packages (the core protocol and the RT scheduler exercise goroutines).
-tier2: vet fmt-check race
+# Tier 2: static hygiene.
+tier2: vet fmt-check
 
 vet:
 	$(GO) vet ./...
@@ -23,15 +22,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-race:
-	$(GO) test -race ./internal/core/... ./internal/rt/...
-
-# Tier race: the parallel experiment engine's gate — the full rt and obs
-# suites (worker pool, GetSetup memoization, record buffers) under the race
-# detector. The race runtime is ~15x slower than native, hence the explicit
-# timeout.
+# Tier race: the runtime-critical packages under the race detector — the
+# core protocol plus the full rt and obs suites (worker pool, GetSetup
+# memoization, record buffers, coalescing sinks). The race runtime is ~15x
+# slower than native, hence the explicit timeout.
 tier-race:
-	$(GO) test -race -timeout 30m ./internal/rt/... ./internal/obs/...
+	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/...
 
 # Tier fault: the fault-injection subsystem's gate — the fault package's
 # unit tests and fuzz seeds, the watchdog boundary tests, the engine

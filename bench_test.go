@@ -161,12 +161,14 @@ func BenchmarkRunProcessorObsOff(b *testing.B) {
 	benchmarkRunProcessor(b, nil)
 }
 
-// BenchmarkRunProcessorObsOn runs with all three surfaces attached (tracer,
-// metrics to io.Discard, counter registry).
+// BenchmarkRunProcessorObsOn runs with every surface attached (tracer,
+// metrics to io.Discard with its coalescing counter sink, registry).
 func BenchmarkRunProcessorObsOn(b *testing.B) {
+	mw := obs.NewMetricsWriter(io.Discard, obs.FormatJSONL)
 	benchmarkRunProcessor(b, &obs.Sink{
 		Trace:    obs.NewTracer(),
-		Metrics:  obs.NewMetricsWriter(io.Discard, obs.FormatJSONL),
+		Metrics:  mw,
+		Counters: obs.NewCoalescingSink(mw, obs.CoalesceOptions{}),
 		Registry: obs.NewRegistry(),
 	})
 }

@@ -6,14 +6,14 @@
 // is byte-identical for any -j. With -metrics, each experiment also
 // streams machine-readable records (one JSON object per line) into the
 // given directory: table3.jsonl carries the printed rows plus per-sub-task
-// WCET bounds, and fig{2,3,4}.jsonl carry a kind:"instance" record per task
-// instance plus a kind:"summary" record per processor comparison.
+// WCET bounds, and fig{2,3,4}.jsonl carry a kind:"summary" record per
+// processor comparison plus the coalesced counters and histograms below.
 //
 // -campaign safety runs the fault-injection sweep instead: every fault
 // kind (or the -faults subset) at each -rates intensity across all six
 // benchmarks and both processors, asserting the VISA safety property in
-// every cell ("Table S"). Its metrics stream (safety.jsonl) carries
-// kind:"fault.injected", kind:"watchdog.fired", and kind:"safety" records.
+// every cell ("Table S"). Its metrics stream (safety.jsonl) carries a
+// kind:"safety" record per cell plus the coalesced counters below.
 //
 // -campaign conform runs the cross-model conformance oracle: -n seeded
 // random programs (default 200) plus all six benchmarks, each swept
@@ -22,15 +22,15 @@
 // I1-I4 (see internal/conform). A violating program fails its job with a
 // minimized reproducer replayable via `visasim -conform -gen <seed>`.
 //
-// With -coalesce, counter-shaped metrics traffic (per-instance fault and
-// watchdog events, per-program conformance scalars) is routed through a
-// coalescing sink (VSA S/Δ accumulator, see internal/obs): deltas
-// accumulate in memory per key and only the net effect is flushed as
-// kind:"counter.flush" records, so the durable stream scales with the
-// number of distinct series instead of the number of events. Distributions
-// survive as kind:"hist" records (fixed-boundary histograms of watchdog
-// margins, switch drains, instance latency, and deadline slack). Output
-// stays byte-identical for any -j.
+// Counter-shaped metrics traffic (injected faults, watchdog firings,
+// per-instance and per-program scalars) always goes through a coalescing
+// sink (VSA S/Δ accumulator, see internal/obs): deltas accumulate in
+// memory per key and only the net effect is flushed as kind:"counter.flush"
+// records, so the durable stream scales with the number of distinct series
+// instead of the number of events. Distributions survive as kind:"hist"
+// records (fixed-boundary histograms of watchdog margins, switch drains,
+// instance latency, and deadline slack). Output stays byte-identical for
+// any -j.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live. All three are off by default and cost
@@ -39,11 +39,11 @@
 // Usage:
 //
 //	experiments [-n 200] [-j NumCPU] [-table3] [-fig2] [-fig3] [-fig4]
-//	            [-spec] [-all] [-metrics dir] [-coalesce]
+//	            [-spec] [-all] [-metrics dir]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	experiments -campaign safety [-faults k1,k2] [-rates r1,r2] [-seed s] [-n N]
 //	experiments -campaign conform [-seed s] [-n N]
-//	experiments -plan spec.json [-j N] [-metrics dir] [-coalesce]
+//	experiments -plan spec.json [-j N] [-metrics dir]
 //
 // -plan runs a serialized plan spec (rt.PlanSpec, the same JSON wire
 // format cmd/visad accepts over POST /v1/jobs) on the local engine — the
@@ -86,8 +86,6 @@ func main() {
 	faults := flag.String("faults", "", "comma-separated fault kinds for -campaign safety (default: all)")
 	rates := flag.String("rates", "", "comma-separated injection rates per 1000 (default: 50,250)")
 	seed := flag.Uint64("seed", 0, "base seed for -campaign safety")
-	coalesce := flag.Bool("coalesce", false,
-		"coalesce counter metrics (VSA S/Δ): durable records per distinct series, not per event")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -120,11 +118,7 @@ func main() {
 	// failure (in plan order) exits nonzero.
 	run := func(plan *rt.Plan, name string) {
 		sink, done := metricsSink(*metricsDir, name)
-		eng := &rt.Engine{Workers: *j, Sink: sink}
-		if *coalesce {
-			eng.Coalesce = &obs.CoalesceOptions{}
-		}
-		rep, err := eng.Run(plan)
+		rep, err := (&rt.Engine{Workers: *j, Sink: sink}).Run(plan)
 		check(err)
 		check(done())
 		fmt.Println(rep.Text)

@@ -52,8 +52,8 @@ func TestCPUProfileLoadable(t *testing.T) {
 }
 
 // TestCoalescedCampaignsByteIdentical: the acceptance criterion at the
-// binary level — safety and conform campaigns with -coalesce produce
-// byte-identical stdout and metrics for -j 1 and -j 8.
+// binary level — safety and conform campaigns, whose counters always
+// coalesce, produce byte-identical stdout and metrics for -j 1 and -j 8.
 func TestCoalescedCampaignsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips the campaign sweep")
@@ -71,7 +71,7 @@ func TestCoalescedCampaignsByteIdentical(t *testing.T) {
 		metrics := map[string][]byte{}
 		for _, j := range []string{"1", "8"} {
 			dir := t.TempDir()
-			args := append([]string{"-j", j, "-coalesce", "-metrics", dir}, c.args...)
+			args := append([]string{"-j", j, "-metrics", dir}, c.args...)
 			cmd := exec.Command(bin, args...)
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr

@@ -153,23 +153,12 @@ func rowResult(sink *obs.Sink, res *Result, seed uint64) rt.JobResult {
 		Points:   res.Points,
 		Runs:     res.Runs,
 	}
-	if cs := sink.C(); cs != nil {
-		// Coalesced mode: the per-program scalars accumulate as campaign
-		// totals and only the net counters reach the durable stream.
-		cs.Add("conform.programs", 1)
-		cs.Add("conform.instructions", row.DynInsts)
-		cs.Add("conform.timing_runs", int64(row.Runs))
-	} else {
-		sink.M().Write(obs.Record{
-			obs.F("kind", "conform"),
-			obs.F("program", row.Name),
-			obs.F("instructions", row.DynInsts),
-			obs.F("sub_tasks", row.SubTasks),
-			obs.F("points", row.Points),
-			obs.F("runs", row.Runs),
-			obs.F("violations", 0),
-		})
-	}
+	// The per-program scalars accumulate as campaign totals and only the
+	// net counters reach the durable stream.
+	cs := sink.C()
+	cs.Add("conform.programs", 1)
+	cs.Add("conform.instructions", row.DynInsts)
+	cs.Add("conform.timing_runs", int64(row.Runs))
 	return rt.JobResult{Custom: row}
 }
 

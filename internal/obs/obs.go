@@ -132,10 +132,11 @@ type Sink struct {
 	Metrics  *MetricsWriter
 	Registry *Registry
 
-	// Counters, when set, coalesces counter traffic (VSA S/Δ discipline)
-	// instead of emitting one durable record per event: call sites route
-	// countable happenings through C().Add and the flush triggers bound
-	// durable work by Θ(distinct series).
+	// Counters is the only path counter traffic takes into Metrics (VSA
+	// S/Δ discipline): call sites route countable happenings through
+	// C().Add and the flush triggers bound durable work by Θ(distinct
+	// series), never one durable record per event. A sink with Metrics
+	// carries one; rt.Engine builds the pair per job.
 	Counters *CoalescingSink
 }
 
@@ -163,7 +164,7 @@ func (s *Sink) R() *Registry {
 	return s.Registry
 }
 
-// C returns the coalescing counter sink (nil when coalescing is off).
+// C returns the coalescing counter sink (nil when metrics are off).
 func (s *Sink) C() *CoalescingSink {
 	if s == nil {
 		return nil

@@ -20,8 +20,11 @@ import (
 //
 // Three mechanisms give that guarantee. Each job writes its metrics into a
 // private record buffer (obs.NewRecordBuffer) that the engine replays into
-// Sink in plan order once the jobs finish. Rows are stored at the job's
-// plan index, so renderers see plan order regardless of completion order.
+// Sink in plan order once the jobs finish; the job's counter traffic
+// coalesces through a private obs.CoalescingSink over that buffer, so the
+// merged stream carries Θ(distinct series) counter records, not one per
+// event. Rows are stored at the job's plan index, so renderers see plan
+// order regardless of completion order.
 // And job failures are stored at the job's plan index too, so the report's
 // failure section and Err() are plan-order deterministic.
 //
@@ -52,15 +55,6 @@ type Engine struct {
 	// standard job whose config leaves it unset — a per-task watchdog on
 	// the simulation itself, so one runaway job cannot hang the plan.
 	CycleBudget int64
-
-	// Coalesce, when non-nil (and metrics are attached), gives every job a
-	// private obs.CoalescingSink over its record buffer: countable events
-	// accumulate in RAM as per-key deltas and only the net effect is
-	// flushed (at threshold/age triggers and at job end), so the durable
-	// stream carries Θ(distinct series) counter records instead of one per
-	// event. The per-job sinks flush into per-job buffers replayed in plan
-	// order, so the merged stream stays byte-identical for any Workers.
-	Coalesce *obs.CoalesceOptions
 
 	// OnJobDone, when non-nil, is called once per job as it completes —
 	// in completion order, from the worker goroutines, so the callback
@@ -100,6 +94,9 @@ func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.V
 func (e *Engine) Run(p *Plan) (*Report, error) {
 	jobs := make([]Job, len(p.Jobs))
 	copy(jobs, p.Jobs)
+	// Validate against a sink shaped like the per-job sinks the engine
+	// injects at run time.
+	shape := e.jobSink(false)
 	for i := range jobs {
 		if jobs[i].Run != nil {
 			continue // custom jobs own their inputs
@@ -107,10 +104,8 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		if e.CycleBudget > 0 && jobs[i].Config.CycleBudget == 0 {
 			jobs[i].Config.CycleBudget = e.CycleBudget
 		}
-		// Validate against the engine's sink: the per-job sink the engine
-		// injects has metrics attached exactly when the engine's does.
 		cfg := jobs[i].Config
-		cfg.Obs = e.sink()
+		cfg.Obs = shape
 		if err := cfg.Validate(); err != nil {
 			// Validate's errors wrap ErrInvalidSpec; keep that root visible
 			// through the plan/job attribution.
@@ -135,7 +130,6 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	results := make([]JobResult, len(jobs))
 	errs := make([]error, len(jobs))
 	bufs := make([]*obs.MetricsWriter, len(jobs))
-	metricsOn := e.sink().M() != nil
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -144,7 +138,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], bufs[i], errs[i] = e.runWithRetry(jobs[i], workers == 1, metricsOn)
+				results[i], bufs[i], errs[i] = e.runWithRetry(jobs[i], workers == 1)
 				if e.OnJobDone != nil {
 					e.OnJobDone(i, results[i], bufs[i].Records(), errs[i])
 				}
@@ -180,42 +174,42 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 }
 
 // runWithRetry executes one job under the panic barrier, retrying
-// transient failures with doubling backoff. Each attempt writes into a
-// fresh record buffer so a retried job's metrics appear exactly once.
-func (e *Engine) runWithRetry(job Job, serial, metricsOn bool) (JobResult, *obs.MetricsWriter, error) {
+// transient failures with doubling backoff. Each attempt gets a fresh
+// per-job sink, so a retried job's metrics and counters appear exactly once.
+func (e *Engine) runWithRetry(job Job, serial bool) (JobResult, *obs.MetricsWriter, error) {
 	backoff := e.Backoff
 	for attempt := 0; ; attempt++ {
-		sink := &obs.Sink{}
-		var buf *obs.MetricsWriter
-		var cs *obs.CoalescingSink
-		if metricsOn {
-			buf = obs.NewRecordBuffer()
-			sink.Metrics = buf
-			if e.Coalesce != nil {
-				// Each attempt gets a fresh coalescer over the fresh
-				// buffer, so retried jobs flush exactly once.
-				cs = obs.NewCoalescingSink(buf, *e.Coalesce)
-				sink.Counters = cs
-			}
-		}
-		if serial {
-			// Serial runs may share the engine's tracer and counter
-			// registry directly: jobs arrive in order.
-			sink.Trace = e.sink().T()
-			sink.Registry = e.sink().R()
-		}
+		sink := e.jobSink(serial)
 		res, err := safeRun(job, sink)
-		if cerr := cs.Close(); cerr != nil && err == nil {
+		if cerr := sink.C().Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		if err == nil || !errors.Is(err, ErrTransient) || attempt >= e.MaxRetries {
-			return res, buf, classify(err)
+			return res, sink.M(), classify(err)
 		}
 		if backoff > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
 	}
+}
+
+// jobSink builds one job attempt's private sink. With metrics on, it
+// carries a fresh record buffer and a coalescing counter sink over it
+// (closed at job end, which flushes every dirty series). Serial runs also
+// share the engine's tracer and counter registry directly: jobs arrive in
+// order.
+func (e *Engine) jobSink(serial bool) *obs.Sink {
+	sink := &obs.Sink{}
+	if e.sink().M() != nil {
+		sink.Metrics = obs.NewRecordBuffer()
+		sink.Counters = obs.NewCoalescingSink(sink.Metrics, obs.CoalesceOptions{})
+	}
+	if serial {
+		sink.Trace = e.sink().T()
+		sink.Registry = e.sink().R()
+	}
+	return sink
 }
 
 // classify roots job failures in the exported sentinels so the service

@@ -107,7 +107,8 @@ func TestEngineSharedSinkSerializes(t *testing.T) {
 // TestConfigValidate covers each rejection Validate promises, plus the
 // valid shapes closest to each boundary.
 func TestConfigValidate(t *testing.T) {
-	metricsSink := &obs.Sink{Metrics: obs.NewRecordBuffer()}
+	buf := obs.NewRecordBuffer()
+	metricsSink := &obs.Sink{Metrics: buf, Counters: obs.NewCoalescingSink(buf, obs.CoalesceOptions{})}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -124,6 +125,7 @@ func TestConfigValidate(t *testing.T) {
 		{"freq advantage one", Config{FreqAdvantage: 1}, true},
 		{"metrics without label", Config{Obs: metricsSink}, false},
 		{"metrics with label", Config{Obs: metricsSink, Label: "x"}, true},
+		{"metrics without counter sink", Config{Obs: &obs.Sink{Metrics: buf}, Label: "x"}, false},
 		{"label optional without metrics", Config{Obs: &obs.Sink{}}, true},
 	}
 	for _, c := range cases {

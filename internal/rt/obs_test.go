@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
@@ -12,14 +11,29 @@ import (
 	"visa/internal/obs"
 )
 
-// fullSink builds a sink with all three surfaces backed by in-memory buffers.
+// fullSink builds a sink with every surface backed by in-memory buffers:
+// tracer, metrics writer with its coalescing counter sink, and registry.
 func fullSink() (*obs.Sink, *bytes.Buffer) {
 	var metrics bytes.Buffer
+	mw := obs.NewMetricsWriter(&metrics, obs.FormatJSONL)
 	return &obs.Sink{
 		Trace:    obs.NewTracer(),
-		Metrics:  obs.NewMetricsWriter(&metrics, obs.FormatJSONL),
+		Metrics:  mw,
+		Counters: obs.NewCoalescingSink(mw, obs.CoalesceOptions{}),
 		Registry: obs.NewRegistry(),
 	}, &metrics
+}
+
+// closeSink flushes the sink's counters into its metrics writer, then
+// closes the writer.
+func closeSink(t *testing.T, sink *obs.Sink) {
+	t.Helper()
+	if err := sink.Counters.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Metrics.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // decodeJSONL parses a JSONL stream into generic records.
@@ -59,9 +73,7 @@ func TestObsDeterminism(t *testing.T) {
 		if err := sink.Trace.WriteChrome(&trace); err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.Metrics.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeSink(t, sink)
 		return metrics.String(), trace.String()
 	}
 	m1, tr1 := run()
@@ -111,10 +123,10 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-// TestInstanceRecordsReconcile: the per-instance metrics must aggregate back
-// to the ProcResult — instance energies sum to the total energy, the
-// instance count matches, missed flags match the counter, and no instance
-// exceeds its deadline.
+// TestInstanceRecordsReconcile: the per-instance counters and histograms
+// must aggregate back to the ProcResult — the instance count matches,
+// missed instances match the counter, and no instance's deadline slack is
+// negative.
 func TestInstanceRecordsReconcile(t *testing.T) {
 	const n = 25
 	sink, metrics := fullSink()
@@ -125,10 +137,15 @@ func TestInstanceRecordsReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Metrics.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeSink(t, sink)
 
+	totals := counterTotals(t, metrics.String())
+	hists := map[string]map[string]any{}
+	for _, r := range decodeJSONL(t, metrics.Bytes()) {
+		if r["kind"] == "hist" {
+			hists[r["name"].(string)] = r
+		}
+	}
 	for _, proc := range []struct {
 		name string
 		res  *ProcResult
@@ -136,29 +153,24 @@ func TestInstanceRecordsReconcile(t *testing.T) {
 		{"complex", row.Complex},
 		{"simple-fixed", row.Simple},
 	} {
-		var count, missed int
-		var energy float64
-		for _, r := range decodeJSONL(t, metrics.Bytes()) {
-			if r["kind"] != "instance" || r["proc"] != proc.name {
-				continue
+		prefix := "agg.cnt." + proc.name
+		if got := totals[prefix+".instances"]; got != n {
+			t.Errorf("%s: instances counter %d, want %d", proc.name, got, n)
+		}
+		if got := totals[prefix+".missed"]; got != int64(proc.res.MissedTasks) {
+			t.Errorf("%s: missed counter %d, ProcResult says %d", proc.name, got, proc.res.MissedTasks)
+		}
+		for _, name := range []string{".hist.instance_cycles", ".hist.deadline_slack_ns"} {
+			h := hists[prefix+name]
+			if h == nil {
+				t.Fatalf("%s: no %s hist record", proc.name, name)
 			}
-			count++
-			energy += r["energy"].(float64)
-			if r["missed"].(bool) {
-				missed++
-			}
-			if r["time_ns"].(float64) > r["deadline_ns"].(float64)+1e-6 {
-				t.Errorf("%s instance %v exceeded its deadline in the metrics", proc.name, r["instance"])
+			if got := h["count"].(float64); got != n {
+				t.Errorf("%s%s: count %v, want %d", proc.name, name, got, n)
 			}
 		}
-		if count != n {
-			t.Errorf("%s: %d instance records, want %d", proc.name, count, n)
-		}
-		if missed != proc.res.MissedTasks {
-			t.Errorf("%s: %d missed in metrics, ProcResult says %d", proc.name, missed, proc.res.MissedTasks)
-		}
-		if math.Abs(energy-proc.res.Energy) > 1e-6*proc.res.Energy {
-			t.Errorf("%s: instance energies sum to %v, ProcResult.Energy = %v", proc.name, energy, proc.res.Energy)
+		if min := hists[prefix+".hist.deadline_slack_ns"]["min"].(float64); min < 0 {
+			t.Errorf("%s: an instance exceeded its deadline (min slack %v ns)", proc.name, min)
 		}
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"visa/internal/obs"
 )
 
-// PETPolicy enumerates the run-time PET estimation policies (§4.3). It
-// replaces the old Histogram/HistogramMiss bool cluster on Config: the
-// policy is one axis with named points, not a pile of flags.
+// PETPolicy enumerates the run-time PET estimation policies (§4.3): one
+// axis with named points, not a pile of flags.
 type PETPolicy int
 
 const (
@@ -42,15 +41,6 @@ func ParsePETPolicy(s string) (PETPolicy, error) {
 		}
 	}
 	return 0, invalidf("unknown PET policy %q (want last-n or histogram)", s)
-}
-
-// policy returns the effective PET policy, honouring the deprecated
-// Histogram flag for configs built before the enum existed.
-func (c Config) policy() PETPolicy {
-	if c.Policy == PETLastN && c.Histogram {
-		return PETHistogram
-	}
-	return c.Policy
 }
 
 // Option mutates a Config under construction; see NewConfig.

@@ -50,22 +50,6 @@ func TestPETPolicyParseAndString(t *testing.T) {
 	}
 }
 
-// TestDeprecatedHistogramShim: the old bool flag and the new enum select
-// the same effective policy.
-func TestDeprecatedHistogramShim(t *testing.T) {
-	old := Config{Histogram: true}
-	if old.policy() != PETHistogram {
-		t.Errorf("Histogram flag: effective policy %v, want PETHistogram", old.policy())
-	}
-	if (Config{}).policy() != PETLastN {
-		t.Errorf("zero config: effective policy %v, want PETLastN", (Config{}).policy())
-	}
-	enum := NewConfig(WithPETPolicy(PETHistogram))
-	if enum.policy() != PETHistogram {
-		t.Errorf("enum config: effective policy %v, want PETHistogram", enum.policy())
-	}
-}
-
 func TestValidateRejectsUnknownPolicy(t *testing.T) {
 	err := Config{Policy: PETPolicy(99)}.Validate()
 	if !errors.Is(err, ErrInvalidSpec) {

@@ -299,13 +299,6 @@ type Config struct {
 	Policy        PETPolicy
 	HistogramMiss float64
 
-	// Histogram selects the histogram PET policy.
-	//
-	// Deprecated: set Policy to PETHistogram (or build the config with
-	// NewConfig(WithPETPolicy(PETHistogram))). The flag is honoured for one
-	// release and then removed.
-	Histogram bool
-
 	VaryInputSeeds bool // vary the input seed per instance
 
 	// Fault attaches a deterministic fault-injection plan (see
@@ -323,7 +316,9 @@ type Config struct {
 
 	// Obs attaches the instrumentation sink (tracer, metrics writer,
 	// counter registry). A nil sink — the default — disables all three
-	// surfaces at no cost. Label prefixes this run's trace lanes, metric
+	// surfaces at no cost. A sink with metrics must also carry the
+	// coalescing counter sink the run's counters flow through (the engine
+	// builds both per job). Label prefixes this run's trace lanes, metric
 	// records, and counter names so one sink can host many experiments.
 	Obs   *obs.Sink
 	Label string
@@ -353,6 +348,9 @@ func (c Config) Validate() error {
 	}
 	if c.Obs.M() != nil && c.Label == "" {
 		return invalidf("config: empty Label with metrics attached (records would be unattributable)")
+	}
+	if c.Obs.M() != nil && c.Obs.C() == nil {
+		return invalidf("config: metrics attached without a coalescing counter sink (counters would be lost)")
 	}
 	if c.Fault != nil {
 		if err := c.Fault.Validate(); err != nil {

@@ -212,13 +212,10 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
-// TestHistogramPolicyRuns exercises the histogram policy through the
-// deprecated Histogram flag — the one-release compatibility shim for
-// configs built before the PETPolicy enum (see options_test.go for the
-// enum path).
+// TestHistogramPolicyRuns exercises the histogram PET policy end to end.
 func TestHistogramPolicyRuns(t *testing.T) {
 	row, err := RunComparison(clab.ByName("cnt"), Config{
-		Tight: true, Instances: testInstances, Histogram: true, HistogramMiss: 0.1,
+		Tight: true, Instances: testInstances, Policy: PETHistogram, HistogramMiss: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"visa/internal/fault"
 	"visa/internal/isa"
 	"visa/internal/memsys"
-	"visa/internal/obs"
 	"visa/internal/ooo"
 	"visa/internal/power"
 	"visa/internal/simple"
@@ -30,10 +29,6 @@ type procSim struct {
 	// unset); budget is Config.CycleBudget (0 = unlimited).
 	inject *fault.Injector
 	budget int64
-
-	// inst holds the run's distributional instruments (nil when both the
-	// metrics and registry surfaces are off; every method is nil-safe).
-	inst *jobInstruments
 }
 
 func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
@@ -122,9 +117,9 @@ type taskResult struct {
 // acct and returning timing. It implements the §2.2/§4.2 protocol: watchdog
 // armed at task start, advanced at each sub-task boundary, and on expiry the
 // processor drains, switches to the recovery frequency (and, on the complex
-// core, to simple mode), masking further checkpoint exceptions. ob (which
-// may be nil) records the protocol's events on the experiment timeline.
-func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, ob *instanceObs) (taskResult, error) {
+// core, to simple mode), masking further checkpoint exceptions. rec (which
+// may be nil) records the protocol's events.
+func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, rec *runRecorder) (taskResult, error) {
 	ps.machine.Reset()
 	if seed != 0 {
 		if err := clab.SetSeed(ps.machine, seed); err != nil {
@@ -156,7 +151,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			ps.bus.SetFreq(fr.FMHz)
 			fs = fr
 			switched = true
-			ob.forcedSimple()
+			rec.forcedSimple()
 		}
 	}
 
@@ -169,7 +164,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 		switchStart = now
 		res.missed = true
 		ps.bus.SetFreq(fr.FMHz)
-		ps.inst.switchDrain(now, now) // EQ 2: no drain window, only the fixed ovhd
+		rec.checkpointMiss(curSub, now, now, false) // EQ 2: no drain window
 	}
 
 	// Simple-mode cycles are scaled down when reconstructing a mispredicted
@@ -193,7 +188,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			cyc = pre + post*recScale
 		}
 		res.aets[curSub] = cyc
-		ob.subTask(curSub, aetBoundary, now, cyc)
+		rec.subTask(curSub, aetBoundary, now, cyc)
 	}
 
 	// Executing in batches keeps the functional machine's fused Fill loop
@@ -215,12 +210,10 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					// finished at the speculative frequency; remaining
 					// sub-tasks run at the recovery frequency.
 					doFreqSwitch(now)
-					ob.checkpointMiss(curSub, now, now, false)
 					pendingSwitch = false
 				}
 				if k >= 1 && wd.Armed() {
-					ob.checkpoint(k, now, wd.Remaining(now), plan.WatchdogAdd[k])
-					ps.inst.checkpointMargin(wd.Remaining(now))
+					rec.checkpoint(k, now, wd.Remaining(now), plan.WatchdogAdd[k])
 					wd.Add(now, plan.WatchdogAdd[k])
 				}
 				curSub = k
@@ -244,12 +237,11 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					res.missed = true
 					switchStart = ps.cx.SwitchToSimple(rt)
 					ps.bus.SetFreq(fr.FMHz)
-					ob.checkpointMiss(curSub, switchAt, switchStart, true)
-					ps.inst.switchDrain(switchAt, switchStart)
+					rec.checkpointMiss(curSub, switchAt, switchStart, true)
 				} else {
 					// PET misprediction on the explicitly-safe core: finish
 					// the sub-task at f_spec, then switch frequency.
-					ob.petMispredict(curSub, rt)
+					rec.petMispredict(curSub, rt)
 					pendingSwitch = true
 				}
 			}
@@ -264,7 +256,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 	if pendingSwitch {
 		now := ps.now()
 		doFreqSwitch(now)
-		ob.checkpointMiss(curSub, now, now, false)
 	}
 	end := ps.now()
 	closeSub(end)
@@ -282,7 +273,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			OvhdNs +
 			float64(end-switchStart)*1000/float64(fr.FMHz)
 		res.simpleNs = float64(end-switchStart) * 1000 / float64(fr.FMHz)
-		ob.recovery(end, ps.cx != nil)
+		rec.recovery(end, ps.cx != nil)
 	}
 	return res, nil
 }
@@ -311,7 +302,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 	params := core.Params{DeadlineNs: deadline, OvhdNs: OvhdNs}
 
 	var policy core.PETPolicy
-	if cfg.policy() == PETHistogram {
+	if cfg.Policy == PETHistogram {
 		policy = core.NewHistogram(table.NumSubTasks(), cfg.HistogramMiss, 100)
 	} else {
 		policy = core.NewLastN(table.NumSubTasks(), LastNWindow)
@@ -335,17 +326,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		ps.attachInjector(inj)
 	}
 
-	tr := cfg.Obs.T()
-	pid := obsLane(tr, cfg.Label, s.Bench.Name, kind.String())
-	prefix := cfg.obsPrefix(s.Bench.Name, kind.String())
-	if cfg.Obs.M() != nil || cfg.Obs.R() != nil {
-		ps.inst = newJobInstruments(prefix)
-	}
-	if reg := cfg.Obs.R(); reg != nil {
-		ps.registerObs(reg, prefix)
-		acct.RegisterObs(reg, prefix+".power")
-		ps.inst.register(reg)
-	}
+	rec := newRunRecorder(cfg, s.Bench.Name, ps, acct)
 
 	n := cfg.instances()
 	// Misprediction injection starts once the PET estimator has warmed up:
@@ -358,18 +339,16 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 	out := &ProcResult{Name: kind.String()}
 	for i := 0; i < n; i++ {
 		baseNs := float64(i) * deadline
+		rec.startInstance(i, baseNs, plan)
 		if flushAt[i] || ps.inject.FlushInstance() {
 			ps.flush()
-			tr.Instant(pid, tidMode, "visa", "cache+predictor flush", baseNs,
-				obs.A("instance", i))
+			rec.flush()
 		}
 		seed := int32(0)
 		if cfg.VaryInputSeeds {
 			seed = int32(1e6 + i*7919)
 		}
-		energyBefore := acct.Energy()
-		ob := newInstanceObs(tr, pid, i, baseNs, plan)
-		res, err := ps.runTask(plan, acct, seed, ob)
+		res, err := ps.runTask(plan, acct, seed, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -399,43 +378,10 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		}
 		if injected := ps.inject.Take(); injected > 0 {
 			out.FaultsInjected += injected
-			tr.Instant(pid, tidMode, "fault", "fault.injected", baseNs+res.timeNs,
-				obs.A("instance", i), obs.A("count", injected),
-				obs.A("spec", cfg.Fault.String()))
-			// Per-event fault records are the campaign's dominant counter
-			// traffic; with a coalescing sink attached only the per-series
-			// net total reaches the durable stream (Θ(I), not O(events)).
-			if cs := cfg.Obs.C(); cs != nil {
-				cs.Add(prefix+".fault.injected", injected)
-			} else if mw := cfg.Obs.M(); mw != nil {
-				mw.Write(obs.Record{
-					obs.F("kind", "fault.injected"),
-					obs.F("label", cfg.Label),
-					obs.F("bench", s.Bench.Name),
-					obs.F("proc", kind.String()),
-					obs.F("instance", i),
-					obs.F("count", injected),
-					obs.F("fault", cfg.Fault.String()),
-				})
-			}
+			rec.faultInjected(baseNs+res.timeNs, injected)
 		}
-		if res.missed {
-			if cs := cfg.Obs.C(); cs != nil {
-				cs.Add(prefix+".watchdog.fired", 1)
-			} else if mw := cfg.Obs.M(); mw != nil {
-				mw.Write(obs.Record{
-					obs.F("kind", "watchdog.fired"),
-					obs.F("label", cfg.Label),
-					obs.F("bench", s.Bench.Name),
-					obs.F("proc", kind.String()),
-					obs.F("instance", i),
-					obs.F("simple_mode", proc == ProcComplex),
-				})
-			}
-		}
-		replanned := false
-		if est.RecordRun(res.aets) {
-			replanned = true
+		replanned := est.RecordRun(res.aets)
+		if replanned {
 			if p2, ok := core.Solve(specMode, params, table, est.PETs()); ok {
 				plan = p2
 			}
@@ -452,9 +398,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 			}
 			acct.AddSegment(dvs, plan.Spec.Volts)
 			usedNs += DVSSoftwareCycles * 1000 / float64(plan.Spec.FMHz)
-			tr.Instant(pid, tidMode, "visa", "pet-reevaluation", baseNs+usedNs,
-				obs.A("instance", i),
-				obs.A("spec_mhz", plan.Spec.FMHz), obs.A("rec_mhz", plan.Rec.FMHz))
+			rec.replanned(baseNs+usedNs, plan)
 		}
 		// Idle to the deadline at the lowest setting (§5.2).
 		idleNs := deadline - usedNs
@@ -462,39 +406,9 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 			idleCycles := int64(idleNs * float64(minPt.FMHz) / 1000)
 			acct.AddIdle(idleCycles, minPt.Volts)
 		}
-		ob.instanceDone(res.timeNs, usedNs, deadline, res.missed)
-		ps.inst.instanceDone(res.endCycles, deadline-usedNs)
-		if cs := cfg.Obs.C(); cs != nil {
-			// Coalesced mode: the per-instance scalars become net counters
-			// (flushed once per series) and the distributions live in the
-			// hist records written after the loop.
-			cs.Add(prefix+".instances", 1)
-			if res.missed {
-				cs.Add(prefix+".missed", 1)
-			}
-			if replanned {
-				cs.Add(prefix+".replanned", 1)
-			}
-		} else if mw := cfg.Obs.M(); mw != nil {
-			mw.Write(obs.Record{
-				obs.F("kind", "instance"),
-				obs.F("label", cfg.Label),
-				obs.F("bench", s.Bench.Name),
-				obs.F("proc", kind.String()),
-				obs.F("instance", i),
-				obs.F("time_ns", res.timeNs),
-				obs.F("used_ns", usedNs),
-				obs.F("deadline_ns", deadline),
-				obs.F("slack_ns", deadline-usedNs),
-				obs.F("missed", res.missed),
-				obs.F("replanned", replanned),
-				obs.F("energy", acct.Energy()-energyBefore),
-				obs.F("spec_mhz", plan.Spec.FMHz),
-				obs.F("rec_mhz", plan.Rec.FMHz),
-			})
-		}
+		rec.instanceDone(res, usedNs, deadline, replanned)
 	}
-	ps.inst.writeRecords(cfg.Obs.M(), cfg.Label, s.Bench.Name, kind.String())
+	rec.finish()
 	out.Energy = acct.Energy()
 	out.AvgPower = acct.AvgPower(float64(n) * deadline)
 	out.FinalSpecMHz = plan.Spec.FMHz

@@ -112,8 +112,7 @@ func (c ConfigSpec) Validate() error {
 }
 
 // ConfigSpecOf mirrors an in-process Config back into its wire form. The
-// Obs sink does not serialize; the deprecated Histogram flag normalizes
-// into the policy name.
+// Obs sink does not serialize.
 func ConfigSpecOf(c Config) ConfigSpec {
 	out := ConfigSpec{
 		Tight:          c.Tight,
@@ -126,8 +125,8 @@ func ConfigSpecOf(c Config) ConfigSpec {
 		CycleBudget:    c.CycleBudget,
 		Label:          c.Label,
 	}
-	if c.policy() != PETLastN {
-		out.Policy = c.policy().String()
+	if c.Policy != PETLastN {
+		out.Policy = c.Policy.String()
 	}
 	if c.Fault != nil {
 		out.Fault = c.Fault.String()

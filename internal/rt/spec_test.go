@@ -72,11 +72,6 @@ func TestConfigSpecRoundTripThroughConfig(t *testing.T) {
 	if got := ConfigSpecOf(cfg); got != spec {
 		t.Errorf("ConfigSpecOf(Config()) = %+v, want %+v", got, spec)
 	}
-	// The deprecated flag normalizes to the policy name on the way out.
-	shim := ConfigSpecOf(Config{Histogram: true, Label: "rt"})
-	if shim.Policy != "histogram" {
-		t.Errorf("deprecated flag serialized as %q, want histogram", shim.Policy)
-	}
 }
 
 func TestPlanSpecKinds(t *testing.T) {

@@ -426,7 +426,6 @@ func (s *Server) runJob(j *jobState) {
 	eng := &rt.Engine{
 		Workers:     s.cfg.EngineWorkers,
 		Sink:        &obs.Sink{Metrics: obs.NewRecordBuffer()},
-		Coalesce:    &obs.CoalesceOptions{},
 		CycleBudget: s.cfg.CycleBudget,
 		OnJobDone: func(i int, _ rt.JobResult, recs []obs.Record, err error) {
 			j.append(jobEvents(i, recs, err)...)
