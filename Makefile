@@ -24,10 +24,11 @@ fmt-check:
 
 # Tier race: the runtime-critical packages under the race detector — the
 # core protocol plus the full rt and obs suites (worker pool, GetSetup
-# memoization, record buffers, coalescing sinks). The race runtime is ~15x
-# slower than native, hence the explicit timeout.
+# memoization, record buffers, coalescing sinks) and the value analysis
+# (concurrent Analyze on one graph, per-call scratch). The race runtime is
+# ~15x slower than native, hence the explicit timeout.
 tier-race:
-	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/...
+	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/... ./internal/absint/...
 
 # Tier fault: the fault-injection subsystem's gate — the fault package's
 # unit tests and fuzz seeds, the watchdog boundary tests, the engine
@@ -107,13 +108,13 @@ bench-engine:
 
 # Regenerates BENCH_10.json: the committed benchmark record (name, ns/op,
 # B/op, allocs/op, custom metrics) covering the evaluation-level engine
-# benchmarks (one shot each — they run whole experiment tables), the
-# per-cycle pipeline Feed kernels whose allocs/op the hotalloc analyzer
-# guards, and the coalescing-sink hot path (Add must stay 0 allocs/op at
-# wide thresholds). After regenerating, bench-diff gates the record against
-# the previous one.
+# benchmarks (one shot each — they run whole experiment tables), the static
+# analysis builds (WCET tables, value analysis), the per-cycle pipeline Feed
+# kernels whose allocs/op the hotalloc analyzer guards, and the
+# coalescing-sink hot path (Add must stay 0 allocs/op at wide thresholds).
+# After regenerating, bench-diff gates the record against the previous one.
 bench-json:
-	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis|WCETTable' -benchtime 1x -benchmem . && \
+	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis|WCETTable|ValueAnalysis' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'PipelineFeed' -benchmem ./internal/simple/ ./internal/ooo/ && \
 	  $(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchmem ./internal/obs/ ) \
 	  | $(GO) run ./cmd/benchjson -o BENCH_10.json

@@ -312,3 +312,20 @@ func BenchmarkWCETTable(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValueAnalysis measures an analyzer built with the value analysis
+// in front (cfg build, absint.Analyze, bound validation, wcet set-up) on the
+// two C-lab programs the analysis costs most on.
+func BenchmarkValueAnalysis(b *testing.B) {
+	for _, name := range []string{"adpcm", "srt"} {
+		prog := mustProgram(b, clab.ByName(name))
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := wcet.NewWithValueAnalysis(prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,8 +8,10 @@
 //
 //	visalint [-v] (benchname ... | file.c ... | all)
 //
-// The exit status is 1 when any annotation is understated, any loop has no
-// usable bound, or any access is provably out of segment.
+// The exit status is 0 when every program is clean; 1 when any annotation
+// is understated, any loop has no usable bound, any access is provably out
+// of segment, or a program fails to load; and 2 on a usage error (no
+// program named, or an unknown flag).
 package main
 
 import (

@@ -14,14 +14,24 @@ const (
 )
 
 // cell names one tracked 32-bit memory word: either an absolute
-// word-aligned byte address (sp == false) or a word-aligned offset from the
-// function's entry stack pointer (sp == true). The two keyspaces never
+// word-aligned byte address or a word-aligned offset from the function's
+// entry stack pointer, packed as addr<<1 | sp. The two keyspaces never
 // alias each other for the frame offsets we track: minic stacks live within
 // spAliasWindow bytes of StackTop, far above any data-segment address.
-type cell struct {
-	sp   bool
-	addr int64
-}
+type cell int64
+
+func absCell(addr int64) cell { return cell(addr << 1) }
+func spCell(off int64) cell   { return cell(off<<1 | 1) }
+
+// sp reports whether the cell is a frame offset rather than an absolute
+// address.
+func (k cell) sp() bool { return k&1 != 0 }
+
+// addr is the cell's byte address or frame offset.
+func (k cell) addr() int64 { return int64(k) >> 1 }
+
+// plus returns the cell d bytes further on in the same keyspace.
+func (k cell) plus(d int64) cell { return k + cell(d<<1) }
 
 // spAliasWindow is the stretch of address space below StackTop inside which
 // an absolute access could alias a tracked stack cell (entry SP is at most
@@ -37,15 +47,27 @@ type origin struct {
 	c  cell
 }
 
+// memEntry is one tracked cell and its interval. A valid Interval lies
+// inside int32, so the bounds are stored narrow to keep entries at 16 bytes.
+type memEntry struct {
+	k      cell
+	lo, hi int32
+}
+
+func newEntry(k cell, v Interval) memEntry { return memEntry{k, int32(v.Lo), int32(v.Hi)} }
+
+func (e memEntry) val() Interval { return Interval{int64(e.lo), int64(e.hi)} }
+
 // state is the abstract machine state at one program point: an interval
 // (plus SP-relative flag) per integer register and a partial map of memory
-// cells. Absent cells are Top. The memory map is shared copy-on-write
-// between states cloned from one another.
+// cells, held as a slice sorted by cell key. Absent cells are Top. The
+// memory slice is shared copy-on-write between states cloned from one
+// another.
 type state struct {
 	live   bool
 	regs   [32]Val
 	orig   [32]origin
-	mem    map[cell]Interval
+	mem    []memEntry
 	shared bool
 }
 
@@ -58,7 +80,7 @@ func newState() state {
 	return s
 }
 
-// clone returns a state sharing the memory map copy-on-write.
+// clone returns a state sharing the memory slice copy-on-write.
 func (s *state) clone() state {
 	c := *s
 	if c.mem != nil {
@@ -68,15 +90,12 @@ func (s *state) clone() state {
 	return c
 }
 
+// own gives s a private copy of a shared memory slice before a write.
 func (s *state) own() {
 	if !s.shared {
 		return
 	}
-	m := make(map[cell]Interval, len(s.mem))
-	for k, v := range s.mem {
-		m[k] = v
-	}
-	s.mem = m
+	s.mem = append([]memEntry(nil), s.mem...)
 	s.shared = false
 }
 
@@ -118,53 +137,76 @@ func (s *state) clearOriginsAt(k cell) {
 	}
 }
 
+// find returns the index of k in the sorted memory slice, or the index at
+// which it would be inserted, and whether it is present.
+//
+//visa:hotpath
+func (s *state) find(k cell) (int, bool) {
+	lo, hi := 0, len(s.mem)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.mem[m].k < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.mem) && s.mem[lo].k == k
+}
+
+//visa:hotpath
 func (s *state) getCell(k cell) Interval {
-	if v, ok := s.mem[k]; ok {
-		return v
+	if i, ok := s.find(k); ok {
+		return s.mem[i].val()
 	}
 	return Full()
 }
 
+// setCell writes one cell. Writing the value the cell already holds is a
+// no-op and so never copies a shared slice.
 func (s *state) setCell(k cell, v Interval) {
-	if v.IsFull() {
-		if _, ok := s.mem[k]; !ok {
-			return
-		}
-		s.own()
-		delete(s.mem, k)
+	i, found := s.find(k)
+	switch {
+	case found && s.mem[i].val() == v:
 		return
+	case found && v.IsFull():
+		s.own()
+		s.mem = append(s.mem[:i], s.mem[i+1:]...)
+	case found:
+		s.own()
+		s.mem[i] = newEntry(k, v)
+	case v.IsFull(), len(s.mem) >= maxTrackedCells:
+		return // Top is absent; at capacity new cells silently widen to Top
+	default:
+		s.own()
+		s.mem = append(s.mem, memEntry{})
+		copy(s.mem[i+1:], s.mem[i:])
+		s.mem[i] = newEntry(k, v)
 	}
-	if s.mem == nil {
-		s.mem = make(map[cell]Interval)
-		s.shared = false
-	}
-	if len(s.mem) >= maxTrackedCells {
-		if _, ok := s.mem[k]; !ok {
-			return // at capacity: silently widen new cells to Top
-		}
-	}
-	s.own()
-	s.mem[k] = v
 }
 
 // dropCells removes every tracked cell for which keep returns false.
 func (s *state) dropCells(keep func(cell) bool) {
-	var doomed []cell
-	for k := range s.mem {
-		if !keep(k) {
-			doomed = append(doomed, k)
-		}
+	i := 0
+	for i < len(s.mem) && keep(s.mem[i].k) {
+		i++
 	}
-	if len(doomed) == 0 {
+	if i == len(s.mem) {
 		return
 	}
 	s.own()
-	for _, k := range doomed {
-		delete(s.mem, k)
+	kept := s.mem[:i]
+	for _, e := range s.mem[i+1:] {
+		if keep(e.k) {
+			kept = append(kept, e)
+		}
 	}
+	s.mem = kept
 }
 
 // eq reports whether two states carry identical abstract information.
+//
+//visa:hotpath
 func (s *state) eq(o *state) bool {
 	if s.live != o.live {
 		return false
@@ -178,13 +220,48 @@ func (s *state) eq(o *state) bool {
 	if len(s.mem) != len(o.mem) {
 		return false
 	}
-	//visa:allow(detlint): map-equality check; the verdict is independent of iteration order
-	for k, v := range s.mem {
-		if ov, ok := o.mem[k]; !ok || ov != v {
+	for i := range s.mem {
+		if s.mem[i] != o.mem[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// sameMem reports whether two states hold the very same memory slice, so
+// that a cell-wise join or widening of them is the slice itself.
+func sameMem(a, b *state) bool {
+	return len(a.mem) == len(b.mem) && (len(a.mem) == 0 || &a.mem[0] == &b.mem[0])
+}
+
+// mergeMem builds r's memory from the cells present in both a and b,
+// combined by f; cells whose combination is Top are dropped. Identical
+// slices are shared instead, as f(v, v) == v for join and widening.
+func mergeMem(r, a, b *state, f func(x, y Interval) Interval) {
+	if sameMem(a, b) {
+		if a.mem != nil {
+			r.mem = a.mem
+			r.shared, a.shared, b.shared = true, true, true
+		}
+		return
+	}
+	x, y := a.mem, b.mem
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0].k < y[0].k:
+			x = x[1:]
+		case x[0].k > y[0].k:
+			y = y[1:]
+		default:
+			if v := f(x[0].val(), y[0].val()); !v.IsFull() {
+				if r.mem == nil {
+					r.mem = make([]memEntry, 0, min(len(x), len(y)))
+				}
+				r.mem = append(r.mem, newEntry(x[0].k, v))
+			}
+			x, y = x[1:], y[1:]
+		}
+	}
 }
 
 // join computes the least upper bound of two states. Memory keys surviving
@@ -203,25 +280,7 @@ func (s *state) join(o *state) state {
 			r.orig[i] = s.orig[i]
 		}
 	}
-	small, big := s.mem, o.mem
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	//visa:allow(detlint): keyed join — each iteration writes a distinct key of r.mem
-	for k, v := range small {
-		bv, ok := big[k]
-		if !ok {
-			continue
-		}
-		j := v.Join(bv)
-		if j.IsFull() {
-			continue
-		}
-		if r.mem == nil {
-			r.mem = make(map[cell]Interval, len(small))
-		}
-		r.mem[k] = j
-	}
+	mergeMem(&r, s, o, Interval.Join)
 	return r
 }
 
@@ -241,20 +300,6 @@ func (s *state) widenFrom(new *state) state {
 			r.orig[i] = s.orig[i]
 		}
 	}
-	//visa:allow(detlint): keyed widen — each iteration writes a distinct key of r.mem
-	for k, v := range s.mem {
-		nv, ok := new.mem[k]
-		if !ok {
-			continue
-		}
-		w := v.Widen(nv)
-		if w.IsFull() {
-			continue
-		}
-		if r.mem == nil {
-			r.mem = make(map[cell]Interval, len(s.mem))
-		}
-		r.mem[k] = w
-	}
+	mergeMem(&r, s, new, Interval.Widen)
 	return r
 }

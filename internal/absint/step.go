@@ -119,19 +119,19 @@ func (fa *funcAnalysis) noteAccess(pc int, a Val, size int) {
 func (fa *funcAnalysis) exactCell(a Val) (cell, bool) {
 	v, ok := a.I.IsSingle()
 	if !ok || v%4 != 0 {
-		return cell{}, false
+		return 0, false
 	}
 	if a.SPRel {
 		if int64(v) < -spOffsetCap || int64(v) > spOffsetCap {
-			return cell{}, false
+			return 0, false
 		}
-		return cell{sp: true, addr: int64(v)}, true
+		return spCell(int64(v)), true
 	}
 	addr := int64(uint32(v))
 	if addr < int64(isa.DataBase) || addr >= fa.an.dataEnd {
-		return cell{}, false
+		return 0, false
 	}
-	return cell{addr: addr}, true
+	return absCell(addr), true
 }
 
 func (fa *funcAnalysis) load(st *state, a Val) Interval {
@@ -150,7 +150,7 @@ func (fa *funcAnalysis) store(st *state, a Val, v Interval, size int64) {
 			st.setCell(k, v)
 			st.clearOriginsAt(k)
 		} else {
-			k2 := cell{sp: k.sp, addr: k.addr + 4}
+			k2 := k.plus(4)
 			st.setCell(k, Full())
 			st.setCell(k2, Full())
 			st.clearOriginsAt(k)
@@ -174,7 +174,7 @@ func (fa *funcAnalysis) havocRange(st *state, a Val, size int64) {
 		}
 		lo, hi := a.I.Lo, a.I.Hi+size-1
 		st.dropCells(func(k cell) bool {
-			return !k.sp || k.addr+3 < lo || k.addr > hi
+			return !k.sp() || k.addr()+3 < lo || k.addr() > hi
 		})
 		return
 	}
@@ -189,9 +189,9 @@ func (fa *funcAnalysis) havocRange(st *state, a Val, size int64) {
 	stackHi := int64(isa.StackTop) + spOffsetCap
 	hitsStack := hi >= stackLo && lo <= stackHi
 	st.dropCells(func(k cell) bool {
-		if k.sp {
+		if k.sp() {
 			return !hitsStack
 		}
-		return k.addr+3 < lo || k.addr > hi
+		return k.addr()+3 < lo || k.addr() > hi
 	})
 }
