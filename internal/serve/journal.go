@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"visa/internal/obs"
@@ -23,21 +22,23 @@ import (
 // acknowledged submission survives any crash. A "done" entry — terminal
 // status, report text, and its rt.ReportHash — is appended before the
 // in-memory state flips to done, so any state a client has observed is
-// durable. Recovery replays the journal in order: terminally-recorded
-// jobs are rehydrated as done/failed (the report hash is re-verified),
-// incomplete ones are re-materialized and re-enqueued in their original
-// admission order. Re-running an incomplete job is safe because the
-// engine is deterministic: the re-run's report is byte-identical to what
-// the lost run would have produced, making recovery exactly-once-
-// observable even though execution is at-least-once.
+// durable. Every journaled transition reaches the job store through one
+// reducer, Server.apply, which the live paths call right after their
+// append; recovery replays the journal in order through the same
+// reducer (re-verifying report hashes), then re-materializes and
+// re-enqueues the jobs it left unfinished in their original admission
+// order. Re-running an incomplete job is safe because the engine is
+// deterministic: the re-run's report is byte-identical to what the lost
+// run would have produced, making recovery exactly-once-observable even
+// though execution is at-least-once.
 //
 // Coalesced service counters ride the same journal: the CoalescingSink's
 // flush records become "counter" entries, and recovery seeds a fresh sink
-// from them (obs.RestoreBaselines → SeedBaseline). Counters derivable
-// from the job records themselves (submitted/completed/failed) are
-// rebuilt exactly from the replay; pure-rate counters (rejections) resume
-// from their last flushed baseline and can at most under-count by one
-// flush window — the coalescing design's stated crash bound.
+// from them (obs.RestoreBaselines → SeedBaseline). The job counters
+// (submitted/completed/failed) come out of the replay exactly, because
+// the reducer counts them; pure-rate counters (rejections) resume from
+// their last flushed baseline and can at most under-count by one flush
+// window — the coalescing design's stated crash bound.
 
 // Journal entry types.
 const (
@@ -154,16 +155,6 @@ func (jl *journal) add(key string, delta int64) error {
 	return jl.drainCountersLocked()
 }
 
-// seed installs a recovered counter baseline (no durable write).
-func (jl *journal) seed(key string, total int64) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	jl.counters.SeedBaseline(key, total)
-	jl.mu.Unlock()
-}
-
 // appendDone journals a completion entry and flushes every dirty counter
 // behind it — the completion is a durable write anyway, so the counters'
 // crash-loss window resets for free.
@@ -252,166 +243,117 @@ func (r *Recovery) String() string {
 		r.Done, r.Requeued, r.Rejected, r.Counters, tail)
 }
 
-// recover opens the configured journal, replays it, rehydrates the job
-// store, re-enqueues incomplete jobs in admission order, and restores
-// counter baselines. Any record that cannot be honored fails recovery
-// with a typed error (wal.ErrCorrupt or ErrJournal) — never a partial
-// silent load.
-func (s *Server) recover() (*Recovery, error) {
+// recover opens the configured journal and replays it, in order, through
+// the live job-state machine (apply), seeds the counter baselines, and
+// starts the worker pool with the jobs the journal left unfinished
+// re-enqueued in admission order. A reject or done that names no admitted
+// job has nothing to act on and is skipped. Any record that cannot be
+// honored fails recovery with a typed error (wal.ErrCorrupt or
+// ErrJournal) — never a partial silent load.
+func (s *Server) recover() (_ *Recovery, err error) {
 	w, raw, torn, err := wal.Open(s.cfg.JournalPath, s.cfg.JournalSync)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			w.Close() //visa:allow(errlint): the replay error is the one being reported
+		}
+	}()
 	s.jl = newJournal(w)
-
+	rec := &Recovery{Torn: torn}
 	var (
-		rec        = &Recovery{Torn: torn}
-		admitOrder []string
-		admits     = map[string]JournalEntry{}
-		terminal   = map[string]JournalEntry{} // last terminal entry wins (replay is idempotent)
-		counterRec []obs.Record
-		maxID      int
+		admitted []*jobState // admission order
+		flushes  []obs.Record
 	)
 	for i, data := range raw {
 		e, err := DecodeJournalEntry(data)
 		if err != nil {
-			w.Close() //visa:allow(errlint): the decode error is the one being reported
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		switch e.Type {
 		case entryAdmit:
-			if _, dup := admits[e.ID]; !dup {
-				admitOrder = append(admitOrder, e.ID)
+			if s.jobs[e.ID] != nil {
+				return nil, fmt.Errorf("%w: job %s admitted twice", ErrJournal, e.ID)
 			}
-			admits[e.ID] = e
+			spec, err := rt.DecodePlanSpec(e.Spec)
+			if err != nil {
+				return nil, fmt.Errorf("%w: job %s: admitted spec unreadable: %v", ErrJournal, e.ID, err)
+			}
 			var n int
-			if _, err := fmt.Sscanf(e.ID, "j%06d", &n); err == nil && n > maxID {
-				maxID = n
+			if _, err := fmt.Sscanf(e.ID, "j%06d", &n); err == nil && n > s.nextID {
+				s.nextID = n
 			}
+			j := newJobState(e.ID, e.Client, spec, nil)
+			j.recovered = true
+			admitted = append(admitted, j)
+			s.apply(j, e)
 		case entryDone, entryReject:
-			terminal[e.ID] = e
+			j := s.jobs[e.ID]
+			if j == nil {
+				continue
+			}
+			if e.Type == entryReject {
+				rec.Rejected++
+			} else if !e.Status.terminal() {
+				return nil, fmt.Errorf("%w: job %s: done record with status %q", ErrJournal, e.ID, e.Status)
+			} else if e.Status == StatusDone && rt.ReportHash(e.Report) != e.ReportHash {
+				return nil, fmt.Errorf("%w: job %s: journaled report does not match its hash %s",
+					ErrJournal, e.ID, e.ReportHash)
+			}
+			s.apply(j, e)
 		case entryCounter:
-			counterRec = append(counterRec, obs.Record{
+			flushes = append(flushes, obs.Record{
 				obs.F("kind", "counter.flush"), obs.F("key", e.Key),
 				obs.F("delta", e.Delta), obs.F("total", e.Total),
 			})
 		default:
-			w.Close() //visa:allow(errlint): the unknown-entry error is the one being reported
 			return nil, fmt.Errorf("%w: record %d: unknown entry type %q", ErrJournal, i, e.Type)
 		}
 	}
-	s.nextID = maxID
 
-	// Rebuild job states in admission order.
-	var requeue []*jobState
-	for _, id := range admitOrder {
-		adm := admits[id]
-		term, isTerminal := terminal[id]
-		if isTerminal && term.Type == entryReject {
-			rec.Rejected++
-			continue
-		}
-		spec, err := rt.DecodePlanSpec(adm.Spec)
-		if err != nil {
-			w.Close() //visa:allow(errlint): the spec error is the one being reported
-			return nil, fmt.Errorf("%w: job %s: admitted spec unreadable: %v", ErrJournal, id, err)
-		}
-		if isTerminal {
-			if term.Status == StatusDone && rt.ReportHash(term.Report) != term.ReportHash {
-				w.Close() //visa:allow(errlint): the hash error is the one being reported
-				return nil, fmt.Errorf("%w: job %s: journaled report does not match its hash %s",
-					ErrJournal, id, term.ReportHash)
-			}
-			j := newJobState(id, adm.Client, spec, nil)
-			j.recovered = true
-			j.status = term.Status
-			j.report = term.Report
-			j.reportHash = term.ReportHash
-			j.failed = term.Failed
-			j.errMsg = term.Error
-			if term.Status == StatusDone {
-				j.events = []Event{
-					{Type: "report", Text: term.Report, Failed: term.Failed},
-					{Type: "done", Status: StatusDone},
-				}
-			} else {
-				j.events = []Event{{Type: "done", Status: StatusFailed, Error: term.Error}}
-			}
-			s.jobs[id] = j
-			rec.Done++
-			continue
-		}
-		// Incomplete: re-materialize and re-run. The determinism contract
-		// makes the re-run byte-identical to the lost one.
-		plan, err := materialize(spec)
-		if err != nil {
-			w.Close() //visa:allow(errlint): the materialize error is the one being reported
-			return nil, fmt.Errorf("%w: job %s: admitted spec no longer materializes: %v", ErrJournal, id, err)
-		}
-		j := newJobState(id, adm.Client, spec, plan)
-		j.recovered = true
-		j.status = StatusRecovered
-		j.admitted = s.now()
-		s.jobs[id] = j
-		requeue = append(requeue, j)
-	}
-
-	// Counter baselines: flushed totals from the journal, superseded by
-	// exact counts wherever the job records themselves are authoritative.
-	base := obs.RestoreBaselines(counterRec)
-	derived := map[string]int64{
-		keySubmitted: int64(len(admitOrder)),
-		keyCompleted: 0,
-		keyFailed:    0,
-	}
-	for _, id := range admitOrder {
-		if term, ok := terminal[id]; ok && term.Type == entryDone {
-			switch term.Status {
-			case StatusDone:
-				derived[keyCompleted]++
-			case StatusFailed:
-				derived[keyFailed]++
-			}
-		}
-	}
-	for _, key := range []string{keySubmitted, keyCompleted, keyFailed} {
-		n := derived[key]
-		if b := base[key]; b > n {
-			n = b
-		}
-		base[key] = n
-	}
-	baseKeys := make([]string, 0, len(base))
-	for key := range base {
-		baseKeys = append(baseKeys, key)
-	}
-	sort.Strings(baseKeys)
-	for _, key := range baseKeys {
-		total := base[key]
+	// A journaled flush total is a floor under the replayed count: the job
+	// counters are exact from the replay (their flushes lag it), and the
+	// rejection counters exist only as flushes.
+	base := obs.RestoreBaselines(flushes)
+	for _, c := range s.durable {
+		total := max(c.n.Load(), base[c.key])
 		if total == 0 {
 			continue
 		}
-		s.jl.seed(key, total)
-		s.seedCounter(key, total)
+		c.n.Store(total)
+		s.jl.counters.SeedBaseline(c.key, total) // no durable write
 		rec.Counters++
+	}
+
+	// Unfinished jobs re-run. The determinism contract makes the re-run
+	// byte-identical to the lost one.
+	var requeue []*jobState
+	for _, j := range admitted {
+		switch {
+		case s.jobs[j.id] != j: // cancelled by a reject
+		case j.status.terminal():
+			rec.Done++
+		default:
+			plan, err := materialize(j.spec)
+			if err != nil {
+				return nil, fmt.Errorf("%w: job %s: admitted spec no longer materializes: %v", ErrJournal, j.id, err)
+			}
+			j.plan, j.status, j.admitted = plan, StatusRecovered, s.now()
+			requeue = append(requeue, j)
+		}
 	}
 
 	// The queue must hold every recovered job: widen it if the backlog at
 	// crash time exceeded the configured depth.
-	depth := s.cfg.QueueDepth
-	if len(requeue) > depth {
-		depth = len(requeue)
-	}
-	s.pool = NewPool(s.cfg.PoolWorkers, depth, s.runJob)
+	s.pool = NewPool(s.cfg.PoolWorkers, max(s.cfg.QueueDepth, len(requeue)), s.runJob)
 	for _, j := range requeue {
 		if err := s.pool.Enqueue(j); err != nil {
 			return nil, fmt.Errorf("serve: recovery enqueue %s: %w", j.id, err)
 		}
-	}
-	rec.Requeued = len(requeue)
-	for _, j := range requeue {
 		rec.RequeuedIDs = append(rec.RequeuedIDs, j.id)
 	}
+	rec.Requeued = len(requeue)
 	s.recoveredJobs.Store(int64(rec.Done + rec.Requeued))
 	return rec, nil
 }
