@@ -67,20 +67,20 @@ tier-obs:
 	$(GO) test ./cmd/experiments/
 	$(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchtime 100x -benchmem ./internal/obs/
 
-# Tier serve: the simulation-service gate — the serve package (admission,
-# quotas, drain, handlers, cross-worker-count stream determinism) under
-# the race detector, the visad binary e2e tests (two daemons at different
-# -j byte-identical, SIGTERM drain, 50-client visaload sweep), then the
-# shell-level smoke: build both binaries, start a daemon, hammer it, and
-# drain it.
+# Tier serve: the simulation-service gate — the visad binary e2e tests
+# (two daemons at different -j byte-identical, SIGTERM drain, 50-client
+# visaload sweep), then the shell-level smoke: build both binaries, start
+# a daemon, hammer it, and drain it. The serve package itself (admission,
+# quotas, drain, handlers, stream determinism, recovery) runs under the
+# race detector once, in tier-durable.
 tier-serve:
-	$(GO) test -race ./internal/serve/
 	$(GO) test ./cmd/visad/
 	./scripts/smoke_serve.sh
 
 # Tier durable: the crash-safety gate — the write-ahead journal package
 # (torn-tail sweep, corruption rejection, fuzz seeds, alloc-free append)
-# and the serve recovery suite under the race detector, the visad
+# and the whole serve package (recovery suite with the crash-prefix
+# property, admission, drain, handlers) under the race detector, the visad
 # SIGKILL/restart e2e, the chaos harness (3 seeded SIGKILLs mid-campaign
 # against a -race daemon, restart at rotating -j, byte-identical reports),
 # then the shell-level kill-and-restart smoke.
