@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	wcet [-mhz 1000] [-sweep] [-categories] [-verify-bounds] (-bench name | file.c)
+//	wcet [-mhz 1000] [-sweep] [-categories] [-verify-bounds] [-bundle path] (benchname | file.c)
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 			}
 		}
 	} else {
-		fmt.Fprintln(os.Stderr, "usage: wcet [-mhz N] [-sweep] [-categories] (benchname | file.c)")
+		fmt.Fprintln(os.Stderr, "usage: wcet [-mhz N] [-sweep] [-categories] [-verify-bounds] [-bundle path] (benchname | file.c)")
 		os.Exit(2)
 	}
 	if err != nil {
