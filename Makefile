@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
 
 all: build
 
@@ -30,14 +30,6 @@ fmt-check:
 tier-race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/... ./internal/absint/...
 
-# Tier fault: the fault-injection subsystem's gate — the fault package's
-# unit tests and fuzz seeds, the watchdog boundary tests, the engine
-# crash-proofing tests, and the full safety campaign (every fault kind
-# across all six benchmarks on both processors).
-tier-fault:
-	$(GO) test ./internal/fault/...
-	$(GO) test -run 'TestWatchdog|TestEngine|TestSafety|FuzzFaultSpec' ./internal/rt/...
-
 # Tier conform: the cross-model conformance gate — the conform package's
 # unit tests and checked-in fuzz corpus, the six-benchmark × 37-point I2
 # property, then the full campaign: 200 seeded random programs plus all
@@ -55,16 +47,10 @@ tier-lint:
 	$(GO) test ./internal/lint/...
 	$(GO) run ./cmd/visavet ./...
 
-# Tier obs: the observability gate — the obs package's full suite
-# (coalescing-sink algebra, crash/restart idempotence, histograms, CSV
-# schema errors, profiling scopes), the rt-level coalesced-campaign
-# determinism tests (byte-identical -j 1 vs -j 8), the binary-level
-# profiling/coalescing checks, and the sink-scaling benchmarks run as
-# tests (one iteration — scaling regressions fail loudly in bench-json).
+# Tier obs: the coalescing-sink scaling benchmarks, run for 100 iterations
+# so a scaling regression fails loudly. The obs, rt and cmd/experiments
+# test suites behind the observability layer already run in tier1.
 tier-obs:
-	$(GO) test ./internal/obs/
-	$(GO) test -run 'TestCoalesced|TestObs' ./internal/rt/
-	$(GO) test ./cmd/experiments/
 	$(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchtime 100x -benchmem ./internal/obs/
 
 # Tier serve: the simulation-service gate — the visad binary e2e tests
@@ -99,25 +85,29 @@ tier-bench:
 	cd bench && $(GO) test ./...
 
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-fault tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench
+tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench
 
 # Records the serial-vs-parallel wall-clock of the full evaluation
 # (`experiments -all -n 20` equivalent; see bench_test.go).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkExperimentsAll' -benchtime 1x .
 
-# Regenerates BENCH_10.json: the committed benchmark record (name, ns/op,
+# Writes BENCH_$(N).json, a new committed benchmark record (name, ns/op,
 # B/op, allocs/op, custom metrics) covering the evaluation-level engine
 # benchmarks (one shot each — they run whole experiment tables), the static
 # analysis builds (WCET tables, value analysis), the per-cycle pipeline Feed
 # kernels whose allocs/op the hotalloc analyzer guards, and the
 # coalescing-sink hot path (Add must stay 0 allocs/op at wide thresholds).
-# After regenerating, bench-diff gates the record against the previous one.
+# N is required and must name a record that does not exist yet, so a run
+# never overwrites a committed record. After writing, bench-diff gates the
+# record against the previous one. Usage: make bench-json N=16
 bench-json:
+	@test -n "$(N)" || { echo "bench-json: set N, the new record's number (make bench-json N=16)"; exit 1; }
+	@test ! -e BENCH_$(N).json || { echo "bench-json: BENCH_$(N).json exists; pick a new N"; exit 1; }
 	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis|WCETTable|ValueAnalysis' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'PipelineFeed' -benchmem ./internal/simple/ ./internal/ooo/ && \
 	  $(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchmem ./internal/obs/ ) \
-	  | $(GO) run ./cmd/benchjson -o BENCH_10.json
+	  | $(GO) run ./cmd/benchjson -o BENCH_$(N).json
 
 # Gates the performance trajectory on the committed records: compares the
 # two most recent BENCH_N.json and fails on >20% ns/op growth or any

@@ -7,16 +7,15 @@
 //	        [-trace out.json] [-metrics out.jsonl|out.csv]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	        (-bench name[,name...]|all | file.c)
-//	visasim -conform (-gen seed [-keep i,j] [-dump] | -bench name|all | file.c)
-//	visasim -plan spec.json [-j N] [-metrics out.jsonl]
+//	visasim -conform (-gen seed [-keep i,j] [-dump] | -bench name[,name...]|all | file.c)
 //
 // With -bench it runs embedded C-lab benchmarks — one name, a
-// comma-separated list, or "all"; otherwise it compiles and runs the given
-// mini-C file. Multiple -runs share cache and predictor state, showing
-// cold-versus-steady behaviour. With several benchmarks the simulations
-// are independent jobs executed on -j workers; their reports and metrics
-// records are merged in benchmark order, so the output is byte-identical
-// for any -j.
+// comma-separated list, or "all"; otherwise it runs the given file, a
+// timing-safe task bundle (wcet -bundle) or mini-C source. Multiple -runs
+// share cache and predictor state, showing cold-versus-steady behaviour.
+// The simulations are independent jobs of one plan on the rt experiment
+// engine with -j workers; their reports and metrics records are merged in
+// benchmark order, so the output is byte-identical for any -j.
 //
 // -trace writes a Chrome trace-event (catapult) JSON file with one slice
 // per run and per sub-task plus cache-miss counter tracks; load it at
@@ -30,11 +29,6 @@
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live for long simulations.
-//
-// -plan runs a serialized experiment plan spec (rt.PlanSpec JSON — the
-// wire format the visad daemon accepts) on the rt experiment engine and
-// prints its report; the same spec submitted to a daemon yields a
-// byte-identical report.
 //
 // -conform runs the cross-model conformance oracle (internal/conform)
 // instead of a simulation: the program is swept through the functional
@@ -52,7 +46,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"visa/internal/cache"
 	"visa/internal/clab"
@@ -62,7 +55,6 @@ import (
 	"visa/internal/fault"
 	"visa/internal/isa"
 	"visa/internal/memsys"
-	"visa/internal/minic"
 	"visa/internal/obs"
 	"visa/internal/ooo"
 	"visa/internal/rt"
@@ -74,12 +66,6 @@ const (
 	tidRun = 1
 	tidSub = 2
 )
-
-// simJob is one program to simulate.
-type simJob struct {
-	name string
-	prog *isa.Program
-}
 
 func main() {
 	procFlag := flag.String("proc", "complex", "processor model: simple or complex")
@@ -99,8 +85,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	planPath := flag.String("plan", "",
-		"run a serialized experiment plan spec (JSON, the visad wire format) on the rt engine")
 	flag.Parse()
 
 	prof, err := obs.StartProfile(obs.ProfileOptions{
@@ -119,10 +103,6 @@ func main() {
 		runConform(*genFlag, *keepFlag, *bench, *dumpFlag)
 		return
 	}
-	if *planPath != "" {
-		runPlan(*planPath, *j, *metricsPath)
-		return
-	}
 
 	proc, err := rt.ParseProc(*procFlag)
 	if err != nil {
@@ -137,120 +117,59 @@ func main() {
 		spec = &s
 	}
 
-	var jobs []simJob
-	switch {
-	case *bench == "all":
-		for _, b := range clab.All() {
-			prog, err := b.Program()
-			if err != nil {
-				fatal(err)
-			}
-			jobs = append(jobs, simJob{b.Name, prog})
-		}
-	case *bench != "":
-		for _, name := range strings.Split(*bench, ",") {
-			b := clab.ByName(name)
-			if b == nil {
-				fatal(fmt.Errorf("unknown benchmark %q (have %s)",
-					name, strings.Join(clab.Names(), " ")))
-			}
-			prog, err := b.Program()
-			if err != nil {
-				fatal(err)
-			}
-			jobs = append(jobs, simJob{b.Name, prog})
-		}
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		var prog *isa.Program
-		if b, berr := core.DecodeBundle(src); berr == nil {
-			// A timing-safe task bundle (cmd/wcet -bundle): run its
-			// embedded program.
-			prog = b.Program
-		} else {
-			prog, err = minic.Compile(flag.Arg(0), string(src))
-			if err != nil {
-				fatal(err)
-			}
-		}
-		jobs = append(jobs, simJob{prog.Name, prog})
-	default:
+	progs := programs(*bench)
+	if len(progs) == 0 {
 		fmt.Fprintln(os.Stderr,
 			"usage: visasim [-proc simple|complex] [-mhz N] [-runs N] [-j N] [-trace out.json] [-metrics out.jsonl] (-bench name[,name...]|all | file.c)")
 		os.Exit(2)
 	}
-
-	if len(jobs) > 1 && *tracePath != "" {
+	if len(progs) > 1 && *tracePath != "" {
 		fatal(fmt.Errorf("-trace supports a single benchmark (the trace is one shared timeline)"))
 	}
 
-	var tr *obs.Tracer
+	// The engine replays each job's records into sink in plan order, and
+	// runs serially when a tracer is attached.
+	sink := &obs.Sink{}
 	if *tracePath != "" {
-		tr = obs.NewTracer()
+		sink.Trace = obs.NewTracer()
 	}
-	var mw *obs.MetricsWriter
 	var mf *os.File
 	if *metricsPath != "" {
 		mf, err = os.Create(*metricsPath)
 		if err != nil {
 			fatal(err)
 		}
-		mw = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsPath))
+		sink.Metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsPath))
+	}
+	plan := &rt.Plan{Name: "visasim", Render: func(r *rt.Report) string {
+		var b strings.Builder
+		for i, res := range r.Results {
+			if len(progs) > 1 {
+				fmt.Fprintf(&b, "== %s ==\n", progs[i].Name)
+			}
+			if text, ok := res.Custom.(string); ok {
+				b.WriteString(text)
+			}
+		}
+		return b.String()
+	}}
+	for _, prog := range progs {
+		run := func(s *obs.Sink) (rt.JobResult, error) {
+			text, err := runSim(prog, proc, *mhz, *runs, spec, s.T(), s.M())
+			return rt.JobResult{Custom: text}, err
+		}
+		plan.Jobs = append(plan.Jobs, rt.Job{Bench: clab.ByName(prog.Name), Run: run})
+	}
+	rep, err := (&rt.Engine{Workers: *j, Sink: sink}).Run(plan)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Print(rep.Text)
+	if err := rep.Err(); err != nil {
+		fatal(err)
 	}
 
-	// Run the jobs: directly against the real writers when there is a
-	// single job (or worker), otherwise into per-job record buffers that
-	// are replayed in benchmark order — the same deterministic-merge
-	// discipline as the rt experiment engine.
-	outputs := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
-	bufs := make([]*obs.MetricsWriter, len(jobs))
-	workers := *j
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if len(jobs) == 1 {
-		outputs[0], errs[0] = runSim(jobs[0], proc, *mhz, *runs, spec, tr, mw)
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if mw != nil {
-						bufs[i] = obs.NewRecordBuffer()
-					}
-					outputs[i], errs[i] = runSim(jobs[i], proc, *mhz, *runs, spec, nil, bufs[i])
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	for i, job := range jobs {
-		if errs[i] != nil {
-			fatal(errs[i])
-		}
-		if len(jobs) > 1 {
-			fmt.Printf("== %s ==\n", job.name)
-		}
-		fmt.Print(outputs[i])
-		bufs[i].Replay(mw)
-	}
-
-	if tr != nil {
+	if tr := sink.Trace; tr != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fatal(err)
@@ -263,7 +182,7 @@ func main() {
 		}
 		fmt.Printf("trace: %d events -> %s (load at ui.perfetto.dev)\n", tr.Len(), *tracePath)
 	}
-	if mw != nil {
+	if mw := sink.Metrics; mw != nil {
 		if err := mw.Close(); err != nil {
 			fatal(err)
 		}
@@ -281,13 +200,11 @@ func main() {
 // cell, so a campaign failure replays here with one command.
 func runConform(genSeed, keep, bench string, dump bool) {
 	type target struct {
-		name      string
 		prog      *isa.Program
 		faultSeed uint64
 	}
 	var targets []target
-	switch {
-	case genSeed != "":
+	if genSeed != "" {
 		seed, err := strconv.ParseUint(genSeed, 0, 64)
 		if err != nil {
 			fatal(fmt.Errorf("bad -gen seed %q: %v", genSeed, err))
@@ -313,35 +230,13 @@ func runConform(genSeed, keep, bench string, dump bool) {
 		if err != nil {
 			fatal(err)
 		}
-		targets = append(targets, target{g.Name(), prog, seed})
-	case bench != "":
-		names := strings.Split(bench, ",")
-		if bench == "all" {
-			names = clab.Names()
+		targets = append(targets, target{prog, seed})
+	} else {
+		for _, prog := range programs(bench) {
+			targets = append(targets, target{prog, conform.BenchSeed(prog.Name)})
 		}
-		for _, name := range names {
-			b := clab.ByName(name)
-			if b == nil {
-				fatal(fmt.Errorf("unknown benchmark %q (have %s)",
-					name, strings.Join(clab.Names(), " ")))
-			}
-			prog, err := b.Program()
-			if err != nil {
-				fatal(err)
-			}
-			targets = append(targets, target{b.Name, prog, conform.BenchSeed(b.Name)})
-		}
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		prog, err := minic.Compile(flag.Arg(0), string(src))
-		if err != nil {
-			fatal(err)
-		}
-		targets = append(targets, target{prog.Name, prog, conform.BenchSeed(prog.Name)})
-	default:
+	}
+	if len(targets) == 0 {
 		fatal(fmt.Errorf("-conform needs -gen <seed>, -bench, or a mini-C file"))
 	}
 
@@ -370,51 +265,34 @@ func runConform(genSeed, keep, bench string, dump bool) {
 	}
 }
 
-// runPlan is the -plan entry point: decode a serialized rt.PlanSpec (the
-// same JSON wire format cmd/visad serves), run it on the rt engine with j
-// workers, and print the plan's report. -metrics streams the engine's
-// plan-order merged records.
-func runPlan(path string, j int, metricsPath string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
+// programs resolves the programs the command line names: the -bench list
+// (one name, "a,b,c" or "all") or else one positional file, a timing-safe
+// task bundle (wcet -bundle) or anything clab.Load accepts. It returns none
+// when neither is given.
+func programs(bench string) []*isa.Program {
+	var args []string
+	switch {
+	case bench == "all":
+		args = clab.Names()
+	case bench != "":
+		args = strings.Split(bench, ",")
+	case flag.NArg() == 1:
+		if src, err := os.ReadFile(flag.Arg(0)); err == nil {
+			if b, err := core.DecodeBundle(src); err == nil {
+				return []*isa.Program{b.Program}
+			}
+		}
+		args = flag.Args()
 	}
-	spec, err := rt.DecodePlanSpec(data)
-	if err != nil {
-		fatal(err)
-	}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
-	plan, err := spec.Plan()
-	if err != nil {
-		fatal(err)
-	}
-	eng := &rt.Engine{Workers: j}
-	if metricsPath != "" {
-		mf, err := os.Create(metricsPath)
+	progs := make([]*isa.Program, len(args))
+	for i, arg := range args {
+		prog, err := clab.Load(arg)
 		if err != nil {
 			fatal(err)
 		}
-		mw := obs.NewMetricsWriter(mf, obs.FormatForPath(metricsPath))
-		eng.Sink = &obs.Sink{Metrics: mw}
-		defer func() {
-			if err := mw.Close(); err != nil {
-				fatal(err)
-			}
-			if err := mf.Close(); err != nil {
-				fatal(err)
-			}
-		}()
+		progs[i] = prog
 	}
-	rep, err := eng.Run(plan)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep.Text)
-	if err := rep.Err(); err != nil {
-		fatal(err)
-	}
+	return progs
 }
 
 // kindNames lists the fault kinds for the -inject usage string.
@@ -431,7 +309,7 @@ func kindNames() string {
 // (mw may be nil) describe the same execution in machine-readable form.
 // When spec is non-nil, a fresh injector (same seed per job, so the output
 // is reproducible and -j independent) perturbs the timing model.
-func runSim(job simJob, proc rt.Proc, mhz, runs int, spec *fault.Spec, tr *obs.Tracer, mw *obs.MetricsWriter) (string, error) {
+func runSim(prog *isa.Program, proc rt.Proc, mhz, runs int, spec *fault.Spec, tr *obs.Tracer, mw *obs.MetricsWriter) (string, error) {
 	var out strings.Builder
 	procName := proc.String()
 
@@ -473,13 +351,13 @@ func runSim(job simJob, proc rt.Proc, mhz, runs int, spec *fault.Spec, tr *obs.T
 		}
 	}
 
-	taskName := job.name
+	taskName := prog.Name
 	pid := tr.Pid(taskName + "/" + procName)
 	tr.ThreadName(pid, tidRun, "runs")
 	tr.ThreadName(pid, tidSub, "sub-tasks")
 	toNs := func(c int64) float64 { return float64(c) * 1000 / float64(mhz) }
 
-	m := exec.New(job.prog)
+	m := exec.New(prog)
 	baseNs := 0.0 // accumulated time of previous runs (rebase resets the clock)
 	for r := 0; r < runs; r++ {
 		m.Reset()

@@ -1,21 +1,6 @@
-// Command visalint runs the abstract-interpretation value analysis
-// (internal/absint) as a standalone soundness lint: it validates every
-// loop's #bound annotation against the derived iteration count, reports
-// statically infeasible CFG edges, and flags memory accesses that resolve
-// outside every legal segment.
-//
-// Usage:
-//
-//	visalint [-v] (benchname ... | file.c ... | all)
-//
-// The exit status is 0 when every program is clean; 1 when any annotation
-// is understated, any loop has no usable bound, any access is provably out
-// of segment, or a program fails to load; and 2 on a usage error (no
-// program named, or an unknown flag).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -24,50 +9,27 @@ import (
 	"visa/internal/cfg"
 	"visa/internal/clab"
 	"visa/internal/isa"
-	"visa/internal/minic"
 )
 
-func main() {
-	verbose := flag.Bool("v", false, "print every bound finding, not just problems")
-	flag.Parse()
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: visalint [-v] (benchname ... | file.c ... | all)")
-		os.Exit(2)
-	}
-	targets := flag.Args()
+// runLint is the -lint mode: it lints every target ("all" names the six
+// C-lab benchmarks) and returns the exit status — 1 when a program fails
+// to load or has a soundness problem, else 0.
+func runLint(targets []string, verbose bool) int {
 	if len(targets) == 1 && targets[0] == "all" {
-		targets = nil
-		for _, b := range clab.All() {
-			targets = append(targets, b.Name)
-		}
+		targets = clab.Names()
 	}
-
-	bad := false
+	status := 0
 	for _, name := range targets {
-		prog, err := load(name)
+		prog, err := clab.Load(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "visalint:", err)
-			os.Exit(1)
+			fmt.Fprintln(os.Stderr, "wcet:", err)
+			return 1
 		}
-		if !lint(prog, *verbose) {
-			bad = true
+		if !lint(prog, verbose) {
+			status = 1
 		}
 	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-func load(name string) (*isa.Program, error) {
-	if b := clab.ByName(name); b != nil {
-		return b.Program()
-	}
-	src, err := os.ReadFile(name)
-	if err != nil {
-		return nil, err
-	}
-	return minic.Compile(name, string(src))
+	return status
 }
 
 // lint analyzes one program and prints its findings; it returns false when
@@ -75,7 +37,7 @@ func load(name string) (*isa.Program, error) {
 func lint(prog *isa.Program, verbose bool) bool {
 	g, err := cfg.BuildWithOptions(prog, cfg.Options{AllowMissingBounds: true})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "visalint: %s: %v\n", prog.Name, err)
+		fmt.Fprintf(os.Stderr, "wcet: %s: %v\n", prog.Name, err)
 		return false
 	}
 	rep := absint.Analyze(g)

@@ -1,10 +1,23 @@
-// Command wcet runs the static worst-case timing analyzer (paper §3.3) and
-// prints per-sub-task WCET bounds, optionally across all DVS operating
-// points, plus the cache categorization summary of Table 2.
+// Command wcet is the static-analysis front end. By default it runs the
+// worst-case timing analyzer (paper §3.3) and prints per-sub-task WCET
+// bounds, optionally across all DVS operating points, plus the cache
+// categorization summary of Table 2.
 //
 // Usage:
 //
 //	wcet [-mhz 1000] [-sweep] [-categories] [-verify-bounds] [-bundle path] (benchname | file.c)
+//	wcet -lint [-v] (benchname ... | file.c ... | all)
+//
+// -verify-bounds runs the abstract-interpretation value analysis
+// (internal/absint) first and times the program with its derived bounds and
+// path pruning. -lint runs that analysis alone, as a soundness lint: it
+// validates every loop's #bound annotation against the derived iteration
+// count, reports statically infeasible CFG edges, and flags memory accesses
+// that resolve outside every legal segment; -v prints every bound finding,
+// not just problems. The -lint exit status is 0 when every program is
+// clean; 1 when any annotation is understated, any loop has no usable
+// bound, any access is provably out of segment, or a program fails to
+// load; and 2 on a usage error.
 package main
 
 import (
@@ -15,11 +28,12 @@ import (
 	"visa/internal/absint"
 	"visa/internal/clab"
 	"visa/internal/core"
-	"visa/internal/isa"
-	"visa/internal/minic"
 	"visa/internal/power"
 	"visa/internal/wcet"
 )
+
+const usage = `usage: wcet [-mhz N] [-sweep] [-categories] [-verify-bounds] [-bundle path] (benchname | file.c)
+       wcet -lint [-v] (benchname ... | file.c ... | all)`
 
 func main() {
 	mhz := flag.Int("mhz", 1000, "analysis frequency in MHz")
@@ -27,24 +41,18 @@ func main() {
 	cats := flag.Bool("categories", false, "print the caching categorization summary (Table 2)")
 	bundle := flag.String("bundle", "", "write a timing-safe task bundle (program + WCET table, §1.2) to this path")
 	verify := flag.Bool("verify-bounds", false, "validate #bound annotations with the value analysis and use derived bounds and path pruning")
+	lintMode := flag.Bool("lint", false, "run the value analysis as a soundness lint over every named program")
+	verbose := flag.Bool("v", false, "with -lint: print every bound finding, not just problems")
 	flag.Parse()
 
-	var prog *isa.Program
-	var err error
-	if flag.NArg() == 1 {
-		if b := clab.ByName(flag.Arg(0)); b != nil {
-			prog, err = b.Program()
-		} else {
-			var src []byte
-			src, err = os.ReadFile(flag.Arg(0))
-			if err == nil {
-				prog, err = minic.Compile(flag.Arg(0), string(src))
-			}
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "usage: wcet [-mhz N] [-sweep] [-categories] [-verify-bounds] [-bundle path] (benchname | file.c)")
+	if *lintMode && flag.NArg() > 0 {
+		os.Exit(runLint(flag.Args(), *verbose))
+	}
+	if *lintMode || flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
+	prog, err := clab.Load(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}

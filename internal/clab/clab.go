@@ -15,6 +15,7 @@ package clab
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,6 +97,20 @@ func All() []*Benchmark {
 
 // ByName looks a benchmark up; nil if unknown.
 func ByName(name string) *Benchmark { return registry[name] }
+
+// Load resolves a command-line program argument: a benchmark name, or
+// else the path of a mini-C source file, compiled under that path.
+func Load(arg string) (*isa.Program, error) {
+	if b := ByName(arg); b != nil {
+		return b.Program()
+	}
+	src, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("%q is neither a benchmark (have %s) nor a readable file: %w",
+			arg, strings.Join(Names(), " "), err)
+	}
+	return minic.Compile(arg, string(src))
+}
 
 // Names returns the registered benchmark names, sorted. Error messages and
 // usage strings should derive their lists from here rather than hardcoding.

@@ -2,6 +2,9 @@ package clab
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"visa/internal/exec"
@@ -35,6 +38,33 @@ func TestSuiteComposition(t *testing.T) {
 	}
 	if ByName("nope") != nil {
 		t.Error("ByName(nope) should be nil")
+	}
+}
+
+// TestLoad: a benchmark name resolves to the cached benchmark program, any
+// other argument is compiled as a mini-C file named by its path, and a name
+// that is neither lists the benchmarks in its error.
+func TestLoad(t *testing.T) {
+	fft := mustProgram(t, ByName("fft"))
+	if p, err := Load("fft"); err != nil || p != fft {
+		t.Errorf("Load(fft) = %p, %v; want the cached benchmark program %p", p, err, fft)
+	}
+
+	path := filepath.Join(t.TempDir(), "task.c")
+	if err := os.WriteFile(path, []byte("void main() { __out(7); }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != path {
+		t.Errorf("file program name = %q, want %q", p.Name, path)
+	}
+
+	_, err = Load("nope")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), " ")) {
+		t.Errorf("Load(nope) error = %v; want one listing the benchmarks", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func runCampaign(t testing.TB, benches []*clab.Benchmark, c SafetyCampaign, work
 	return rep, buf.String()
 }
 
-// TestSafetyCampaignSmoke is the tier-fault smoke: two benchmarks, one
+// TestSafetyCampaignSmoke is the safety campaign's smoke: two benchmarks, one
 // adversarial and one paranoid fault kind, every cell holding the safety
 // property. Kept small enough for CI.
 func TestSafetyCampaignSmoke(t *testing.T) {
