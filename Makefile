@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
 
 all: build
 
@@ -53,28 +53,18 @@ tier-lint:
 tier-obs:
 	$(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchtime 100x -benchmem ./internal/obs/
 
-# Tier serve: the simulation-service gate — the visad binary e2e tests
-# (two daemons at different -j byte-identical, SIGTERM drain, 50-client
-# visaload sweep), then the shell-level smoke: build both binaries, start
-# a daemon, hammer it, and drain it. The serve package itself (admission,
-# quotas, drain, handlers, stream determinism, recovery) runs under the
-# race detector once, in tier-durable.
-tier-serve:
-	$(GO) test ./cmd/visad/
-	./scripts/smoke_serve.sh
-
 # Tier durable: the crash-safety gate — the write-ahead journal package
 # (torn-tail sweep, corruption rejection, fuzz seeds, alloc-free append)
 # and the whole serve package (recovery suite with the crash-prefix
-# property, admission, drain, handlers) under the race detector, the visad
-# SIGKILL/restart e2e, the chaos harness (3 seeded SIGKILLs mid-campaign
-# against a -race daemon, restart at rotating -j, byte-identical reports),
-# then the shell-level kill-and-restart smoke.
+# property, admission, drain, handlers, client) under the race detector,
+# then the visad SIGKILL/restart e2e and the chaos campaign (3 seeded
+# SIGKILLs mid-campaign, restart at rotating -j, byte-identical reports).
+# The race-built test binary builds a race-built daemon, so the killed
+# daemons run under the race detector too. The other visad e2e tests
+# (determinism across -j, SIGTERM drain, 50-client visaload) run in tier1.
 tier-durable:
 	$(GO) test -race ./internal/wal/ ./internal/serve/
-	$(GO) test -race -run 'TestCrashRecovery' ./cmd/visad/
-	$(GO) run ./cmd/visachaos -race -kills 3 -seed 1
-	./scripts/smoke_recovery.sh
+	$(GO) test -race -run 'TestCrashRecovery|TestChaosCampaign' ./cmd/visad/
 
 # Tier bench: the repo benchmark's own tests. bench/ is a separate Go
 # module, so the root `go test ./...` never reaches it. The suite checks
@@ -85,7 +75,7 @@ tier-bench:
 	cd bench && $(GO) test ./...
 
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-serve tier-durable tier-bench
+tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench
 
 # Records the serial-vs-parallel wall-clock of the full evaluation
 # (`experiments -all -n 20` equivalent; see bench_test.go).

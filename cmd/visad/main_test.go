@@ -1,16 +1,17 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -18,209 +19,229 @@ import (
 	"visa/internal/serve"
 )
 
-// buildVisad compiles the daemon once per test into a temp dir. Tests skip
-// when the go toolchain is unavailable.
+// e2eTimeout bounds every client call of these tests: submit backoff and
+// each wait for a job.
+const e2eTimeout = 5 * time.Minute
+
+// The daemon under test is built once per test binary, into binDir.
+var (
+	buildOnce sync.Once
+	binDir    string
+	visadBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// buildVisad compiles the daemon on first use, with -race when the test
+// binary itself is race-built, and returns its path. Tests skip when the
+// go toolchain is unavailable.
 func buildVisad(t *testing.T) string {
 	t.Helper()
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not in PATH")
 	}
-	bin := filepath.Join(t.TempDir(), "visad")
-	cmd := exec.Command(goBin, "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "visad-e2e"); buildErr != nil {
+			return
+		}
+		visadBin = filepath.Join(binDir, "visad")
+		args := []string{"build", "-o", visadBin}
+		if raceBuild {
+			args = append(args, "-race")
+		}
+		if out, err := exec.Command(goBin, append(args, ".")...).CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return visadBin
 }
 
 // daemon is one running visad child process.
 type daemon struct {
 	cmd    *exec.Cmd
 	base   string
-	stderr *prefixScanner
+	log    *stderrLog
+	exited chan struct{} // closed once the process is reaped
+	err    error         // its exit status, set before exited closes
 }
 
-// prefixScanner tees the child's stderr, exposing the first "listening on"
-// line and retaining everything for failure dumps.
-type prefixScanner struct {
-	addr chan string
+// stderrLog keeps the child's stderr and hands over the address of its
+// "listening on" line, once.
+type stderrLog struct {
+	mu   sync.Mutex
 	buf  bytes.Buffer
+	addr chan<- string // nil once sent
 }
 
-func (p *prefixScanner) run(r io.Reader) {
-	sc := bufio.NewScanner(r)
-	sent := false
-	for sc.Scan() {
-		line := sc.Text()
-		p.buf.WriteString(line + "\n")
-		if !sent {
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				addr := strings.Fields(line[i+len("listening on "):])[0]
-				p.addr <- addr
-				sent = true
-			}
-		}
+var listenRE = regexp.MustCompile(`listening on (\S+) `)
+
+func (l *stderrLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf.Write(p)
+	if m := listenRE.FindSubmatch(l.buf.Bytes()); m != nil && l.addr != nil {
+		l.addr <- string(m[1])
+		l.addr = nil
 	}
-	if !sent {
-		close(p.addr)
-	}
+	return len(p), nil
 }
 
-// startVisad launches the daemon on an ephemeral port and waits for it to
-// answer /v1/healthz.
-func startVisad(t *testing.T, bin string, extra ...string) *daemon {
+func (l *stderrLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// startVisad launches the daemon on an ephemeral port and waits until
+// /v1/healthz answers "status":"ok". The test's cleanup kills it.
+func startVisad(t *testing.T, extra ...string) *daemon {
 	t.Helper()
-	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
+	addr := make(chan string, 1)
+	d := &daemon{log: &stderrLog{addr: addr}, exited: make(chan struct{})}
+	d.cmd = exec.Command(buildVisad(t), append([]string{"-addr", "127.0.0.1:0"}, extra...)...)
+	d.cmd.Stderr = d.log
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	ps := &prefixScanner{addr: make(chan string, 1)}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	go ps.run(stderr)
-	d := &daemon{cmd: cmd, stderr: ps}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
+	go func() {
+		d.err = d.cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(d.kill)
 	select {
-	case addr, ok := <-ps.addr:
-		if !ok {
-			t.Fatalf("visad exited before listening:\n%s", ps.buf.String())
-		}
-		d.base = "http://" + addr
+	case a := <-addr:
+		d.base = "http://" + a
+	case <-d.exited:
+		t.Fatalf("visad exited before listening: %v\n%s", d.err, d.log)
 	case <-time.After(30 * time.Second):
 		t.Fatal("visad did not report a listen address")
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(d.base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
+		h, err := health(d.base)
+		if err == nil && h.Status == "ok" {
 			return d
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("visad not healthy: %v", err)
+			t.Fatalf("visad not healthy: %+v, %v", h, err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(25 * time.Millisecond)
 	}
 }
 
-func planJSON(jobs int) string {
+// kill SIGKILLs the daemon and reaps it: a crash, no drain.
+func (d *daemon) kill() {
+	d.cmd.Process.Kill()
+	<-d.exited
+}
+
+// terminate sends SIGTERM and requires a clean drain.
+func (d *daemon) terminate(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	d.drained(t)
+}
+
+// drained waits for the daemon to exit after SIGTERM and requires exit
+// status 0 and the drain confirmation on stderr.
+func (d *daemon) drained(t *testing.T) {
+	t.Helper()
+	select {
+	case <-d.exited:
+	case <-time.After(60 * time.Second):
+		t.Fatal("visad did not exit after SIGTERM")
+	}
+	if d.err != nil {
+		t.Errorf("visad exit: %v\nstderr:\n%s", d.err, d.log)
+	}
+	if !strings.Contains(d.log.String(), "drained") {
+		t.Errorf("stderr missing drain confirmation:\n%s", d.log)
+	}
+}
+
+func (d *daemon) client(id string) *serve.Client {
+	return &serve.Client{Base: d.base, ID: id, Deadline: time.Now().Add(e2eTimeout)}
+}
+
+// health reads the daemon's /v1/healthz document.
+func health(base string) (serve.HealthResponse, error) {
+	var h serve.HealthResponse
+	resp, err := http.Get(base + "/v1/healthz")
+	if err != nil {
+		return h, err
+	}
+	defer resp.Body.Close()
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	return h, err
+}
+
+// planJSON is a custom plan called name of jobs cnt jobs, labelled
+// name/cnt<i>.
+func planJSON(name string, jobs int) string {
 	var specs []string
 	for i := 0; i < jobs; i++ {
 		specs = append(specs, fmt.Sprintf(
-			`{"version":1,"bench":"cnt","config":{"instances":3,"label":"e2e/cnt%d"}}`, i))
+			`{"version":1,"bench":"cnt","config":{"instances":3,"label":"%s/cnt%d"}}`, name, i))
 	}
-	return fmt.Sprintf(`{"version":1,"kind":"custom","name":"e2e","jobs":[%s]}`,
-		strings.Join(specs, ","))
+	return fmt.Sprintf(`{"version":1,"kind":"custom","name":%q,"jobs":[%s]}`,
+		name, strings.Join(specs, ","))
 }
 
-func submitPlan(t *testing.T, base, client, body string) serve.SubmitResponse {
+func submit(t *testing.T, c *serve.Client, body string) string {
 	t.Helper()
-	req, _ := http.NewRequest("POST", base+"/v1/jobs", strings.NewReader(body))
-	req.Header.Set("X-Client-ID", client)
-	resp, err := http.DefaultClient.Do(req)
+	id, _, err := c.Submit([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit: %s: %s", resp.Status, msg)
-	}
-	var sr serve.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr
+	return id
 }
 
-func waitReport(t *testing.T, base, id string) string {
+// wait requires the job to finish done.
+func wait(t *testing.T, c *serve.Client, id string) serve.JobResponse {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jr serve.JobResponse
-		err = json.NewDecoder(resp.Body).Decode(&jr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch jr.Status {
-		case serve.StatusDone:
-			return jr.Report
-		case serve.StatusFailed:
-			t.Fatalf("job failed: %s", jr.Error)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("job did not finish")
-	return ""
-}
-
-// streamReplay reads a job's NDJSON stream to completion and returns the
-// plan-order replay (per-job events stably sorted by index, then the tail).
-func streamReplay(t *testing.T, base, id string) []byte {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
+	jr, err := c.Wait(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var per, tail []serve.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev serve.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON: %v", err)
-		}
-		if ev.Type == "metrics" || ev.Type == "job" {
-			per = append(per, ev)
-		} else {
-			tail = append(tail, ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	return jr
+}
+
+func replay(t *testing.T, c *serve.Client, id string) []byte {
+	t.Helper()
+	r, _, err := c.Replay(id)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) == 0 || tail[len(tail)-1].Type != "done" {
-		t.Fatalf("stream did not end with done (%d tail events)", len(tail))
-	}
-	sort.SliceStable(per, func(i, j int) bool { return per[i].Index < per[j].Index })
-	var out bytes.Buffer
-	enc := json.NewEncoder(&out)
-	for _, ev := range append(per, tail...) {
-		enc.Encode(ev)
-	}
-	return out.Bytes()
+	return r
 }
 
 // TestTwoDaemonsDifferentParallelismIdentical is the cross-instance
 // determinism e2e: two daemons with -j 1 and -j 4 serve the same plan; the
 // reports and the plan-order stream replays are byte-identical.
 func TestTwoDaemonsDifferentParallelismIdentical(t *testing.T) {
-	bin := buildVisad(t)
-	body := planJSON(4)
-
+	body := planJSON("e2e", 4)
 	type out struct {
 		report string
 		replay []byte
 	}
 	run := func(j string) out {
-		d := startVisad(t, bin, "-j", j)
-		sr := submitPlan(t, d.base, "e2e", body)
-		replay := streamReplay(t, d.base, sr.ID)
-		return out{report: waitReport(t, d.base, sr.ID), replay: replay}
+		c := startVisad(t, "-j", j).client("e2e")
+		id := submit(t, c, body)
+		r := replay(t, c, id)
+		return out{report: wait(t, c, id).Report, replay: r}
 	}
 	serial := run("1")
 	parallel := run("4")
@@ -240,22 +261,20 @@ func TestTwoDaemonsDifferentParallelismIdentical(t *testing.T) {
 // (observed through its event stream), answers new submissions with 503,
 // and exits 0.
 func TestSIGTERMDrains(t *testing.T) {
-	bin := buildVisad(t)
-	d := startVisad(t, bin, "-j", "2")
-
-	sr := submitPlan(t, d.base, "drain", planJSON(2))
+	d := startVisad(t, "-j", "2")
+	c := d.client("drain")
+	id := submit(t, c, planJSON("e2e", 2))
 	// Hold the stream open across the drain: it must still deliver the
 	// full event log, proving the job ran to completion.
-	streamDone := make(chan []byte, 1)
+	type streamed struct {
+		replay []byte
+		full   bool
+		err    error
+	}
+	streamDone := make(chan streamed, 1)
 	go func() {
-		resp, err := http.Get(d.base + "/v1/jobs/" + sr.ID + "/stream")
-		if err != nil {
-			streamDone <- nil
-			return
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		streamDone <- b
+		r, full, err := c.Replay(id)
+		streamDone <- streamed{r, full, err}
 	}()
 	time.Sleep(100 * time.Millisecond) // let the stream attach and the job start
 
@@ -263,39 +282,25 @@ func TestSIGTERMDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDraining(t, d.base)
-	// While draining, new submissions are refused with 503 (the listener
-	// may also already be gone — both prove no new work is admitted).
-	req, _ := http.NewRequest("POST", d.base+"/v1/jobs", strings.NewReader(planJSON(1)))
-	req.Header.Set("X-Client-ID", "late")
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("submit during drain: status %d, want 503", resp.StatusCode)
-		}
-		resp.Body.Close()
+	// While draining, new submissions are refused with 503. A transport
+	// error means the listener is already gone: no admission either.
+	_, _, err := d.client("late").Submit([]byte(planJSON("e2e", 1)))
+	var se *serve.StatusError
+	if err == nil {
+		t.Error("submit during drain was admitted")
+	} else if errors.As(err, &se) && se.Code != http.StatusServiceUnavailable {
+		t.Errorf("submit during drain: status %d, want 503", se.Code)
 	}
 
 	select {
-	case b := <-streamDone:
-		if !bytes.Contains(b, []byte(`"type":"done"`)) || !bytes.Contains(b, []byte(`"type":"report"`)) {
-			t.Errorf("drained stream incomplete:\n%s", b)
+	case s := <-streamDone:
+		if s.err != nil || !s.full || !bytes.Contains(s.replay, []byte(`"type":"report"`)) {
+			t.Errorf("drained stream incomplete (full=%v, err=%v):\n%s", s.full, s.err, s.replay)
 		}
 	case <-time.After(120 * time.Second):
 		t.Fatal("stream did not complete during drain")
 	}
-
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- d.cmd.Wait() }()
-	select {
-	case err := <-waitErr:
-		if err != nil {
-			t.Errorf("visad exit: %v\nstderr:\n%s", err, d.stderr.buf.String())
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("visad did not exit after drain")
-	}
-	if !strings.Contains(d.stderr.buf.String(), "drained") {
-		t.Errorf("stderr missing drain confirmation:\n%s", d.stderr.buf.String())
-	}
+	d.drained(t)
 }
 
 // waitDraining polls /v1/healthz until the daemon reports it is draining
@@ -306,14 +311,8 @@ func waitDraining(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/healthz")
-		if err != nil {
-			return // listener closed: the drain has begun
-		}
-		var h serve.HealthResponse
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if err == nil && h.Draining {
+		// An error means the listener is closing: the drain has begun.
+		if h, err := health(base); err != nil || h.Draining {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -321,103 +320,74 @@ func waitDraining(t *testing.T, base string) {
 	t.Fatal("daemon did not report draining after SIGTERM")
 }
 
-// waitJob polls a job to a terminal state and returns the full response.
-func waitJob(t *testing.T, base, id string) serve.JobResponse {
-	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jr serve.JobResponse
-		err = json.NewDecoder(resp.Body).Decode(&jr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.Status == serve.StatusDone || jr.Status == serve.StatusFailed {
-			return jr
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("job did not reach a terminal state")
-	return serve.JobResponse{}
-}
+// hashRE is the shape of a report hash: SHA-256 in lowercase hex.
+var hashRE = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
 // TestCrashRecoveryByteIdentical is the crash-safety e2e: SIGKILL the
 // daemon right after a journaled submission, restart on the same journal
 // at a different -j, and the recovered job's report is byte-identical to
-// an uninterrupted run — a crash is observationally a slow response.
+// an uninterrupted run — a crash is observationally a slow response. The
+// recovered daemon still drains cleanly on SIGTERM.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
-	bin := buildVisad(t)
-	body := planJSON(4)
+	body := planJSON("e2e", 4)
 
 	// Reference: uninterrupted run, no journal, -j 1.
-	ref := startVisad(t, bin, "-j", "1")
-	refResp := waitJob(t, ref.base, submitPlan(t, ref.base, "crash", body).ID)
-	if refResp.Status != serve.StatusDone {
-		t.Fatalf("reference run failed: %s", refResp.Error)
+	ref := startVisad(t, "-j", "1").client("crash")
+	want := wait(t, ref, submit(t, ref, body))
+	if want.Report == "" {
+		t.Fatal("reference run has an empty report")
 	}
 
 	journal := filepath.Join(t.TempDir(), "visad.wal")
-	d1 := startVisad(t, bin, "-j", "1", "-journal", journal)
-	sr := submitPlan(t, d1.base, "crash", body)
+	d1 := startVisad(t, "-j", "1", "-journal", journal)
+	id := submit(t, d1.client("crash"), body)
 	// SIGKILL immediately: the admit record is durable (the 202 implies a
 	// synced append), the completion almost certainly is not.
-	d1.cmd.Process.Kill()
-	d1.cmd.Wait()
+	d1.kill()
 
 	// Restart on the same journal at a different parallelism.
-	d2 := startVisad(t, bin, "-j", "4", "-journal", journal)
-	if !strings.Contains(d2.stderr.buf.String(), "journal "+journal) {
-		t.Errorf("restart stderr missing recovery summary:\n%s", d2.stderr.buf.String())
+	d2 := startVisad(t, "-j", "4", "-journal", journal)
+	if !strings.Contains(d2.log.String(), "journal "+journal) {
+		t.Errorf("restart stderr missing recovery summary:\n%s", d2.log)
 	}
-	jr := waitJob(t, d2.base, sr.ID)
-	if jr.Status != serve.StatusDone {
-		t.Fatalf("recovered job failed: %s", jr.Error)
-	}
+	jr := wait(t, d2.client("crash"), id)
 	if !jr.Recovered {
 		t.Error("recovered job not flagged recovered")
 	}
-	if jr.Report != refResp.Report {
+	if jr.Report != want.Report {
 		t.Errorf("recovered report differs from uninterrupted run:\n--- recovered\n%s\n--- reference\n%s",
-			jr.Report, refResp.Report)
+			jr.Report, want.Report)
 	}
-	if jr.ReportHash == "" || jr.ReportHash != refResp.ReportHash {
-		t.Errorf("report hash mismatch: %q vs %q", jr.ReportHash, refResp.ReportHash)
+	if !hashRE.MatchString(jr.ReportHash) || jr.ReportHash != want.ReportHash {
+		t.Errorf("report hash %q, want %q (64 lowercase hex)", jr.ReportHash, want.ReportHash)
 	}
 
 	// Third start: the completion is journaled now, so the job rehydrates
 	// done without re-running, report intact.
-	d2.cmd.Process.Kill()
-	d2.cmd.Wait()
-	d3 := startVisad(t, bin, "-j", "2", "-journal", journal)
-	jr3 := waitJob(t, d3.base, sr.ID)
-	if jr3.Status != serve.StatusDone || jr3.Report != refResp.Report || !jr3.Recovered {
-		t.Errorf("rehydrated job wrong: status=%s recovered=%v reportMatch=%v",
-			jr3.Status, jr3.Recovered, jr3.Report == refResp.Report)
+	d2.kill()
+	d3 := startVisad(t, "-j", "2", "-journal", journal)
+	jr3 := wait(t, d3.client("crash"), id)
+	if jr3.Report != want.Report || !jr3.Recovered {
+		t.Errorf("rehydrated job wrong: recovered=%v reportMatch=%v",
+			jr3.Recovered, jr3.Report == want.Report)
 	}
+	d3.terminate(t)
 }
 
 // TestVisaloadAgainstDaemon drives the load generator at a live daemon —
 // the N-concurrent-clients byte-identical acceptance check, binary to
-// binary.
+// binary — then checks the completion counter and a clean drain.
 func TestVisaloadAgainstDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips the load sweep")
 	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not in PATH")
-	}
-	bin := buildVisad(t)
+	const clients = 50
+	d := startVisad(t, "-j", "2", "-workers", "4", "-queue", "64")
 	loadBin := filepath.Join(t.TempDir(), "visaload")
-	if out, err := exec.Command(goBin, "build", "-o", loadBin, "../visaload").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", loadBin, "../visaload").CombinedOutput(); err != nil {
 		t.Fatalf("go build visaload: %v\n%s", err, out)
 	}
-	d := startVisad(t, bin, "-j", "2", "-workers", "4", "-queue", "64")
-	cmd := exec.Command(loadBin, "-addr", d.base, "-clients", "50", "-stream", "-timeout", "4m")
+	cmd := exec.Command(loadBin, "-addr", d.base, "-clients", fmt.Sprint(clients), "-stream", "-timeout", "4m")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("visaload: %v\n%s", err, out)
@@ -425,4 +395,25 @@ func TestVisaloadAgainstDaemon(t *testing.T) {
 	if !bytes.Contains(out, []byte("byte-identical")) {
 		t.Errorf("visaload output missing confirmation:\n%s", out)
 	}
+
+	resp, err := http.Get(d.base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []serve.MetricSample
+	err = json.NewDecoder(resp.Body).Decode(&samples)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := -1.0
+	for _, s := range samples {
+		if s.Name == "serve.jobs.completed" {
+			completed = s.Value
+		}
+	}
+	if completed != clients {
+		t.Errorf("serve.jobs.completed = %v, want %d", completed, clients)
+	}
+	d.terminate(t)
 }

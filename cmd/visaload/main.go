@@ -7,35 +7,30 @@
 // Usage:
 //
 //	visaload [-addr http://localhost:8080] [-clients 50] [-plan spec.json]
-//	         [-stream] [-timeout 5m] [-backoff-base 100ms] [-backoff-cap 5s]
-//	         [-seed 1]
+//	         [-stream] [-timeout 5m] [-seed 1]
 //
 // Without -plan a small built-in comparison plan is used. With -stream
 // each client also consumes the NDJSON event stream and the tool asserts
 // the plan-order replays are identical across clients. Exits nonzero on
 // any submission failure, job failure, or report mismatch.
 //
-// 429 handling: an exact Retry-After from the server is honored verbatim;
-// without one, clients back off on a capped exponential schedule with
-// deterministic per-client jitter seeded from -seed, so a run replays the
-// identical sleep pattern and a 429 burst never re-synchronizes into a
-// thundering herd.
+// 429 handling is serve.Client's: an exact Retry-After from the server is
+// honored verbatim; without one, clients back off on a capped exponential
+// schedule (100ms doubling to 5s) with deterministic per-client jitter
+// seeded from -seed, so a run replays the identical sleep pattern and a
+// 429 burst never re-synchronizes into a thundering herd.
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"visa/internal/fault"
 	"visa/internal/rt"
 	"visa/internal/serve"
 )
@@ -46,10 +41,6 @@ func main() {
 	planPath := flag.String("plan", "", "plan spec JSON file (default: built-in comparison plan)")
 	stream := flag.Bool("stream", false, "also consume and compare NDJSON event streams")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-client overall deadline")
-	backoffBase := flag.Duration("backoff-base", 100*time.Millisecond,
-		"first hint-less 429 backoff (doubles per retry)")
-	backoffCap := flag.Duration("backoff-cap", 5*time.Second,
-		"ceiling for the exponential backoff")
 	seed := flag.Uint64("seed", 1, "jitter seed; same seed replays the same backoff schedule")
 	flag.Parse()
 
@@ -77,25 +68,29 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			r := &results[c]
-			cl := &client{
-				base: *addr, id: fmt.Sprintf("load-%d", c),
-				http:     &http.Client{Timeout: *timeout},
-				deadline: start.Add(*timeout),
-				backoff:  newBackoff(*backoffBase, *backoffCap, clientSeed(*seed, c)),
+			cl := &serve.Client{
+				Base:     *addr,
+				ID:       fmt.Sprintf("load-%d", c),
+				HTTP:     &http.Client{Timeout: *timeout},
+				Deadline: start.Add(*timeout),
+				Seed:     fault.DeriveSeed(*seed, uint64(c)),
 			}
-			id, retries, err := cl.submit(body)
+			id, retries, err := cl.Submit(body)
 			r.retries = retries
 			if err != nil {
 				r.err = err
 				return
 			}
 			if *stream {
-				r.replay, r.err = cl.streamReplay(id)
-				if r.err != nil {
+				if r.replay, _, r.err = cl.Replay(id); r.err != nil {
 					return
 				}
 			}
-			r.report, r.err = cl.waitDone(id)
+			jr, err := cl.Wait(id)
+			if err == nil && jr.Failed > 0 {
+				err = fmt.Errorf("job %s: %d plan jobs failed", id, jr.Failed)
+			}
+			r.report, r.err = jr.Report, err
 		}(c)
 	}
 	wg.Wait()
@@ -154,127 +149,6 @@ func loadPlan(path string) (rt.PlanSpec, error) {
 		return rt.PlanSpec{}, err
 	}
 	return spec, spec.Validate()
-}
-
-type client struct {
-	base     string
-	id       string
-	http     *http.Client
-	deadline time.Time
-	backoff  *backoff
-}
-
-// submit posts the plan, backing off on 429 until the deadline: an exact
-// Retry-After is honored verbatim, otherwise the client's capped
-// exponential schedule with deterministic jitter decides. Returns the job
-// ID and how many 429 rounds it absorbed.
-func (c *client) submit(body []byte) (id string, retries int, err error) {
-	for {
-		req, err := http.NewRequest("POST", c.base+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return "", retries, err
-		}
-		req.Header.Set("X-Client-ID", c.id)
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return "", retries, err
-		}
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-			var sr serve.SubmitResponse
-			err := json.NewDecoder(resp.Body).Decode(&sr)
-			resp.Body.Close()
-			return sr.ID, retries, err
-		case http.StatusTooManyRequests:
-			ra := resp.Header.Get("Retry-After")
-			resp.Body.Close()
-			var hint time.Duration
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 1 {
-				hint = time.Duration(secs) * time.Second
-			}
-			retries++
-			delay := c.backoff.next(hint)
-			//visa:allow(detlint): 429 backoff is wall-clock by definition
-			wake := time.Now().Add(delay)
-			if wake.After(c.deadline) {
-				return "", retries, fmt.Errorf("deadline exceeded while backing off (429, Retry-After %q, delay %s)", ra, delay)
-			}
-			time.Sleep(time.Until(wake))
-		default:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			return "", retries, fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(msg))
-		}
-	}
-}
-
-// waitDone polls the job until a terminal state and returns the report.
-func (c *client) waitDone(id string) (string, error) {
-	//visa:allow(detlint): polling deadline against the wall clock; the job itself runs in simulated time
-	for time.Now().Before(c.deadline) {
-		resp, err := c.http.Get(c.base + "/v1/jobs/" + id)
-		if err != nil {
-			return "", err
-		}
-		var jr serve.JobResponse
-		err = json.NewDecoder(resp.Body).Decode(&jr)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		switch jr.Status {
-		case serve.StatusDone:
-			if jr.Failed > 0 {
-				return "", fmt.Errorf("job %s: %d plan jobs failed", id, jr.Failed)
-			}
-			return jr.Report, nil
-		case serve.StatusFailed:
-			return "", fmt.Errorf("job %s failed: %s", id, jr.Error)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return "", fmt.Errorf("job %s: deadline exceeded", id)
-}
-
-// streamReplay consumes the NDJSON stream and returns the deterministic
-// plan-order replay: per-job events stably sorted by plan index, then the
-// tail (report/done), re-encoded one event per line.
-func (c *client) streamReplay(id string) ([]byte, error) {
-	resp, err := c.http.Get(c.base + "/v1/jobs/" + id + "/stream")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stream: %s", resp.Status)
-	}
-	var per, tail []serve.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev serve.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("bad NDJSON line: %v", err)
-		}
-		if ev.Type == "metrics" || ev.Type == "job" {
-			per = append(per, ev)
-		} else {
-			tail = append(tail, ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.SliceStable(per, func(i, j int) bool { return per[i].Index < per[j].Index })
-	var out bytes.Buffer
-	enc := json.NewEncoder(&out)
-	for _, ev := range append(per, tail...) {
-		if err := enc.Encode(ev); err != nil {
-			return nil, err
-		}
-	}
-	return out.Bytes(), nil
 }
 
 func fatal(err error) {

@@ -46,7 +46,6 @@ type SMTResult struct {
 type bgThread struct {
 	prog *isa.Program
 	m    *exec.Machine
-	done int64 // completed instructions
 }
 
 func newBGThread(prog *isa.Program) *bgThread {
@@ -139,7 +138,6 @@ func RunSMT(s *Setup, cfg Config, bgProg *isa.Program) (*SMTResult, error) {
 					return nil, err
 				}
 				if bgRetire <= deadlineCycles {
-					bg.done++
 					res.BGInsts++
 				}
 				continue
@@ -175,21 +173,15 @@ func RunSMT(s *Setup, cfg Config, bgProg *isa.Program) (*SMTResult, error) {
 		}
 
 		taskCycles := ps.cx.Now()
-		var timeNs float64
 		if missed {
-			timeNs = deadline // conservative: count the whole period
 			if float64(taskCycles)*1000/float64(plan.Rec.FMHz)+OvhdNs > deadline {
 				res.DeadlineViolations++
 			}
 			res.MissedTasks++
 			res.IdledTasks++
-		} else {
-			timeNs = float64(taskCycles) * 1000 / float64(fs.FMHz)
-			if timeNs > deadline {
-				res.DeadlineViolations++
-			}
+		} else if float64(taskCycles)*1000/float64(fs.FMHz) > deadline {
+			res.DeadlineViolations++
 		}
-		_ = timeNs
 	}
 
 	// Conventional-concurrency baseline: same periods, background work only

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,18 +45,24 @@ func submit(t *testing.T, ts *httptest.Server, client, body string) (*http.Respo
 	return resp, sr
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) JobResponse {
+// testClient is a serve.Client on ts with a test-sized deadline.
+func testClient(ts *httptest.Server, id string) *Client {
+	return &Client{Base: ts.URL, ID: id, HTTP: ts.Client(), Deadline: time.Now().Add(120 * time.Second)}
+}
+
+// submitWait submits body as client id and waits for the job to finish.
+func submitWait(t *testing.T, ts *httptest.Server, id, body string) (string, JobResponse) {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+	c := testClient(ts, id)
+	jobID, _, err := c.Submit([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	jr, err := c.Wait(jobID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return jr
+	return jobID, jr
 }
 
 // readStream consumes the NDJSON stream to its done event and returns every
@@ -96,20 +101,6 @@ func readStream(t *testing.T, ts *httptest.Server, id string) ([]Event, []string
 	return evs, lines
 }
 
-func waitJobDone(t *testing.T, ts *httptest.Server, id string) JobResponse {
-	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		jr := getJob(t, ts, id)
-		if jr.Status == StatusDone || jr.Status == StatusFailed {
-			return jr
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("job did not reach a terminal state")
-	return JobResponse{}
-}
-
 func tinyPlanJSON(t *testing.T) string {
 	t.Helper()
 	enc, err := tinyPlan().Encode()
@@ -121,12 +112,8 @@ func tinyPlanJSON(t *testing.T) string {
 
 func TestHTTPSubmitAndReport(t *testing.T) {
 	_, ts := newTestServer(t, Config{PoolWorkers: 2, EngineWorkers: 2})
-	resp, sr := submit(t, ts, "alice", tinyPlanJSON(t))
-	if resp.StatusCode != http.StatusAccepted || sr.ID == "" {
-		t.Fatalf("submit: status=%d id=%q", resp.StatusCode, sr.ID)
-	}
-	jr := waitJobDone(t, ts, sr.ID)
-	if jr.Status != StatusDone || jr.Failed != 0 {
+	_, jr := submitWait(t, ts, "alice", tinyPlanJSON(t))
+	if jr.Failed != 0 {
 		t.Fatalf("job = %+v", jr)
 	}
 	if !strings.Contains(jr.Report, "POWER COMPARISON") {
@@ -218,8 +205,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 
-	_, sr := submit(t, ts, "alice", tinyPlanJSON(t))
-	waitJobDone(t, ts, sr.ID)
+	submitWait(t, ts, "alice", tinyPlanJSON(t))
 
 	resp, err = ts.Client().Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -240,23 +226,10 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 }
 
-// replayKey orders stream events into the deterministic plan-order stream:
-// all metrics/job events sorted by plan index (stable, preserving per-index
-// emission order), then report, then done.
+// planOrderReplay re-encodes a raw stream in PlanOrder, one line per event.
 func planOrderReplay(evs []Event) []string {
-	var per []Event
-	var tail []Event
-	for _, ev := range evs {
-		switch ev.Type {
-		case "metrics", "job":
-			per = append(per, ev)
-		default:
-			tail = append(tail, ev)
-		}
-	}
-	sort.SliceStable(per, func(i, j int) bool { return per[i].Index < per[j].Index })
 	out := make([]string, 0, len(evs))
-	for _, ev := range append(per, tail...) {
+	for _, ev := range PlanOrder(evs) {
 		b, _ := json.Marshal(ev)
 		out = append(out, string(b))
 	}
@@ -284,15 +257,8 @@ func TestStreamDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 	run := func(workers int) result {
 		_, ts := newTestServer(t, Config{PoolWorkers: 1, EngineWorkers: workers})
-		resp, sr := submit(t, ts, "alice", string(enc))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit status = %d", resp.StatusCode)
-		}
-		evs, _ := readStream(t, ts, sr.ID)
-		jr := getJob(t, ts, sr.ID)
-		if jr.Status != StatusDone {
-			t.Fatalf("workers=%d: job = %+v", workers, jr)
-		}
+		id, jr := submitWait(t, ts, "alice", string(enc))
+		evs, _ := readStream(t, ts, id)
 		return result{report: jr.Report, replay: planOrderReplay(evs)}
 	}
 
@@ -333,34 +299,18 @@ func TestConcurrentClientsIdenticalReports(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(body))
-			req.Header.Set("X-Client-ID", fmt.Sprintf("client-%d", c))
-			resp, err := ts.Client().Do(req)
+			cl := testClient(ts, fmt.Sprintf("client-%d", c))
+			id, _, err := cl.Submit([]byte(body))
 			if err != nil {
-				t.Error(err)
+				t.Errorf("client %d: %v", c, err)
 				return
 			}
-			var sr SubmitResponse
-			json.NewDecoder(resp.Body).Decode(&sr)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				t.Errorf("client %d: status %d", c, resp.StatusCode)
+			jr, err := cl.Wait(id)
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
 				return
 			}
-			deadline := time.Now().Add(120 * time.Second)
-			for time.Now().Before(deadline) {
-				jr := getJob(t, ts, sr.ID)
-				if jr.Status == StatusDone {
-					reports[c] = jr.Report
-					return
-				}
-				if jr.Status == StatusFailed {
-					t.Errorf("client %d: job failed: %s", c, jr.Error)
-					return
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-			t.Errorf("client %d: timeout", c)
+			reports[c] = jr.Report
 		}(c)
 	}
 	wg.Wait()
