@@ -31,6 +31,20 @@ type DynInst struct {
 	Taken  bool     // branch/jump outcome
 }
 
+// start initializes the record for instruction in at pc as a fall-through
+// with no memory access, ready for execute to fill in the outcome. It writes
+// the fields one by one on purpose: assigning a DynInst literal makes the
+// compiler build it in a stack temporary with narrow stores and then copy
+// it out with wide loads, which stalls on store forwarding once per record.
+func (d *DynInst) start(seq int64, pc int32, in isa.Inst) {
+	d.Seq = seq
+	d.PC = pc
+	d.Addr = 0
+	d.Inst = in
+	d.NextPC = pc + 1
+	d.Taken = false
+}
+
 // Machine holds architectural state for one task execution.
 type Machine struct {
 	Prog *isa.Program
@@ -100,7 +114,7 @@ func (m *Machine) Step() (DynInst, bool, error) {
 }
 
 // stepInto executes one instruction, writing its dynamic record into *d.
-// Writing in place (rather than returning the 48-byte record by value) is
+// Writing in place (rather than returning the 32-byte record by value) is
 // what lets Fill stream straight into a caller-owned batch.
 func (m *Machine) stepInto(d *DynInst) (bool, error) {
 	if m.Halted {
@@ -116,7 +130,7 @@ func (m *Machine) stepInto(d *DynInst) (bool, error) {
 		return false, &ExecError{m.PC, m.Seq, fmt.Errorf("pc out of range")}
 	}
 	in := m.Prog.Code[m.PC]
-	*d = DynInst{Seq: m.Seq, PC: int32(m.PC), Inst: in, NextPC: int32(m.PC) + 1}
+	d.start(m.Seq, int32(m.PC), in)
 	if err := m.execute(in, d); err != nil {
 		return false, &ExecError{m.PC, m.Seq, err}
 	}
@@ -158,7 +172,7 @@ func (m *Machine) Fill(dst []DynInst) (int, error) {
 		}
 		in := code[pc]
 		d := &dst[n]
-		*d = DynInst{Seq: seq, PC: int32(pc), Inst: in, NextPC: int32(pc) + 1}
+		d.start(seq, int32(pc), in)
 		if err := m.execute(in, d); err != nil {
 			m.PC, m.Seq = pc, seq
 			return n, &ExecError{pc, seq, err}

@@ -29,6 +29,13 @@ type procSim struct {
 	// unset); budget is Config.CycleBudget (0 = unlimited).
 	inject *fault.Injector
 	budget int64
+
+	// trace, when set, is the program's recorded seed-0 stream. A task on
+	// that input reads its records from reader (replay is true) instead of
+	// executing on machine.
+	trace  *exec.Trace
+	reader exec.Reader
+	replay bool
 }
 
 func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
@@ -46,6 +53,33 @@ func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
 		ps.sp = simple.New(ps.ic, ps.dc, ps.bus)
 	}
 	return ps
+}
+
+// start readies the functional stream for one task instance on input
+// seed: a replay of the recorded trace when there is one for that input,
+// else a reset (and seeded) live machine.
+func (ps *procSim) start(seed int32) error {
+	ps.replay = ps.trace != nil && seed == 0
+	if ps.replay {
+		ps.reader = ps.trace.NewReader()
+		return nil
+	}
+	ps.machine.Reset()
+	if seed != 0 {
+		return clab.SetSeed(ps.machine, seed)
+	}
+	return nil
+}
+
+// fill writes the task's next batch of records into dst, with
+// exec.Machine.Fill's contract whichever source start chose.
+//
+//visa:hotpath
+func (ps *procSim) fill(dst []exec.DynInst) (int, error) {
+	if ps.replay {
+		return ps.reader.Fill(dst)
+	}
+	return ps.machine.Fill(dst)
 }
 
 func (ps *procSim) now() int64 {
@@ -120,11 +154,8 @@ type taskResult struct {
 // core, to simple mode), masking further checkpoint exceptions. rec (which
 // may be nil) records the protocol's events.
 func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, rec *runRecorder) (taskResult, error) {
-	ps.machine.Reset()
-	if seed != 0 {
-		if err := clab.SetSeed(ps.machine, seed); err != nil {
-			return taskResult{}, err
-		}
+	if err := ps.start(seed); err != nil {
+		return taskResult{}, err
 	}
 	fs, fr := plan.Spec, plan.Rec
 	ps.bus.SetFreq(fs.FMHz)
@@ -191,14 +222,14 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 		rec.subTask(curSub, aetBoundary, now, cyc)
 	}
 
-	// Executing in batches keeps the functional machine's fused Fill loop
-	// hot and feeds the pipeline from a stack-resident array instead of
-	// stepping one DynInst at a time through an out parameter. Fill never
-	// buffers past an error: dst[:n] holds only completed instructions, so
-	// feeding them before surfacing ferr times exactly what executed.
+	// Taking the stream in batches keeps the fused Fill loop hot and feeds
+	// the pipeline from a stack-resident array instead of stepping one
+	// DynInst at a time through an out parameter. Fill never buffers past
+	// an error: dst[:n] holds only completed instructions, so feeding them
+	// before surfacing ferr times exactly what executed.
 	var batch [64]exec.DynInst
 	for {
-		n, ferr := ps.machine.Fill(batch[:])
+		n, ferr := ps.fill(batch[:])
 		for bi := 0; bi < n; bi++ {
 			d := &batch[bi]
 			if d.Inst.Op == isa.MARK {
@@ -317,6 +348,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 
 	acct := &power.Accounting{Profile: profile, Standby: cfg.Standby}
 	ps := newProcSim(s.Prog, kind, plan.Spec.FMHz)
+	ps.trace = s.trace
 	ps.budget = cfg.CycleBudget
 	if cfg.Fault != nil {
 		inj, err := fault.New(*cfg.Fault)

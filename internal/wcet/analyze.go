@@ -410,7 +410,12 @@ func (a *Analyzer) runPath(eng *simple.Pipeline, fg *cfg.FuncGraph, p path, pen 
 			}
 			eng.Rebase(eng.Now() + cyc)
 		default:
-			d = exec.DynInst{PC: int32(s.pc), Inst: fg.Prog.Code[s.pc], Taken: s.taken}
+			// Field writes, not a DynInst literal: the literal is built in
+			// a stack temporary and copied out, stalling on store
+			// forwarding. The other fields stay zero.
+			d.PC = int32(s.pc)
+			d.Inst = fg.Prog.Code[s.pc]
+			d.Taken = s.taken
 			eng.Feed(&d)
 		}
 	}
