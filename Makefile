@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench tier-all vet fmt-check test bench-engine bench-json bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench tier-all vet fmt-check test bench-record bench-diff clean
 
 all: build
 
@@ -77,31 +77,18 @@ tier-bench:
 # Tier all: every gate in one invocation.
 tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench
 
-# Records the serial-vs-parallel wall-clock of the full evaluation
-# (`experiments -all -n 20` equivalent; see bench_test.go).
-bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkExperimentsAll' -benchtime 1x .
+# Writes BENCH_$(N).json, a new committed performance record: the result
+# line of every bench/run.sh run it takes (each BENCHMARK.json workload at
+# seeds 1-5, and eval-steady traced at seeds 1-5), about 10 minutes on two
+# cores. It refuses an existing record and writes nothing if any run fails
+# or reports correct:false. Usage: make bench-record N=19
+bench-record:
+	$(GO) run ./cmd/benchdiff -record $(N)
 
-# Writes BENCH_$(N).json, a new committed benchmark record (name, ns/op,
-# B/op, allocs/op, custom metrics) covering the evaluation-level engine
-# benchmarks (one shot each — they run whole experiment tables), the static
-# analysis builds (WCET tables, value analysis), the per-cycle pipeline Feed
-# kernels whose allocs/op the hotalloc analyzer guards, and the
-# coalescing-sink hot path (Add must stay 0 allocs/op at wide thresholds).
-# N is required and must name a record that does not exist yet, so a run
-# never overwrites a committed record. After writing, bench-diff gates the
-# record against the previous one. Usage: make bench-json N=16
-bench-json:
-	@test -n "$(N)" || { echo "bench-json: set N, the new record's number (make bench-json N=16)"; exit 1; }
-	@test ! -e BENCH_$(N).json || { echo "bench-json: BENCH_$(N).json exists; pick a new N"; exit 1; }
-	( $(GO) test -run '^$$' -bench 'Table3|Figure|FunctionalExecutor|SimplePipeline|ComplexPipeline|WCETAnalysis|WCETTable|ValueAnalysis' -benchtime 1x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'PipelineFeed' -benchmem ./internal/simple/ ./internal/ooo/ && \
-	  $(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchmem ./internal/obs/ ) \
-	  | $(GO) run ./cmd/benchjson -o BENCH_$(N).json
-
-# Gates the performance trajectory on the committed records: compares the
-# two most recent BENCH_N.json and fails on >20% ns/op growth or any
-# allocs/op increase in the pinned cycle-loop kernels.
+# Gates the performance trajectory on the two newest committed records:
+# end-to-end metrics against their BENCHMARK.json bounds, the exec/simple/
+# ooo kernel rungs against +20%, each beyond the older record's spread,
+# and the failure fraction (see cmd/benchdiff).
 bench-diff:
 	$(GO) run ./cmd/benchdiff
 

@@ -12,11 +12,22 @@ import (
 	"visa/internal/clab"
 	"visa/internal/core"
 	"visa/internal/exec"
+	"visa/internal/isa"
 	"visa/internal/memsys"
 	"visa/internal/minic"
 	"visa/internal/ooo"
 	"visa/internal/wcet"
 )
+
+// mustProgram compiles the benchmark, failing the benchmark run on error.
+func mustProgram(tb testing.TB, b *clab.Benchmark) *isa.Program {
+	tb.Helper()
+	prog, err := b.Program()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
 
 // BenchmarkAblationWindowSize sweeps the complex core's ROB/IQ sizes on mm:
 // the VISA argument only pays off if dynamic scheduling actually buys ILP.

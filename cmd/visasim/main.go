@@ -4,7 +4,7 @@
 // Usage:
 //
 //	visasim [-proc simple|complex] [-mhz 1000] [-runs 1] [-j NumCPU]
-//	        [-trace out.json] [-metrics out.jsonl|out.csv]
+//	        [-trace out.json] [-metrics out.jsonl]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out] [-pprof addr]
 //	        (-bench name[,name...]|all | file.c)
 //	visasim -conform (-gen seed [-keep i,j] [-dump] | -bench name[,name...]|all | file.c)
@@ -22,10 +22,10 @@
 // https://ui.perfetto.dev or chrome://tracing (single benchmark only — the
 // trace is one shared timeline). -metrics streams one machine-readable
 // record per run and per sub-task, then the full counter registry, as
-// JSONL (or CSV for .csv paths — note the stream mixes record kinds, so
-// CSV, which requires one uniform schema per file, reports a schema error;
-// use JSONL for visasim metrics). Both outputs use simulated time only and
-// are byte-identical across repeated runs.
+// JSONL. The stream mixes record kinds, so a .csv path, which needs one
+// schema per file, is refused with exit status 2 before anything runs.
+// Both outputs use simulated time only and are byte-identical across
+// repeated runs.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
 // -pprof serves net/http/pprof live for long simulations.
@@ -74,7 +74,7 @@ func main() {
 	bench := flag.String("bench", "", `embedded C-lab benchmark: one name, "a,b,c", or "all"`)
 	j := flag.Int("j", runtime.NumCPU(), "parallel workers when simulating multiple benchmarks")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
-	metricsPath := flag.String("metrics", "", "write per-run/per-sub-task metrics (JSONL, or CSV for .csv)")
+	metricsPath := flag.String("metrics", "", "write per-run/per-sub-task metrics as JSONL")
 	injectFlag := flag.String("inject", "",
 		"seeded fault plan kind:rate[:cycles[:seed]] (kinds: "+kindNames()+")")
 	conformFlag := flag.Bool("conform", false,
@@ -86,6 +86,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
+	if obs.FormatForPath(*metricsPath) == obs.FormatCSV {
+		fmt.Fprintf(os.Stderr, "visasim: -metrics %s: the stream mixes record kinds, which CSV cannot hold; use a JSONL path\n", *metricsPath)
+		os.Exit(2)
+	}
 
 	prof, err := obs.StartProfile(obs.ProfileOptions{
 		CPUPath: *cpuprofile, MemPath: *memprofile, HTTPAddr: *pprofAddr,

@@ -117,9 +117,6 @@ func checkSafetyCounters(t *testing.T, rep *Report, metrics string, instances in
 	if got := sumSuffix(totals, ".fault.injected"); got != faults {
 		t.Errorf("coalesced fault.injected total = %d, rows say %d", got, faults)
 	}
-	if got := sumSuffix(totals, ".watchdog.fired"); got != missed {
-		t.Errorf("coalesced watchdog.fired total = %d, rows say %d", got, missed)
-	}
 	if got := sumSuffix(totals, ".missed"); got != missed {
 		t.Errorf("coalesced missed total = %d, rows say %d", got, missed)
 	}

@@ -44,7 +44,7 @@ type runRecorder struct {
 	fault              string // the run's fault spec, for trace args
 
 	// Coalesced counter keys, built once per run.
-	kFault, kFired, kInstances, kMissed, kReplanned string
+	kFault, kInstances, kMissed, kReplanned string
 
 	// margin is the watchdog margin (cycles remaining) observed at every
 	// passed checkpoint — the distribution whose left tail predicts
@@ -92,7 +92,6 @@ func newRunRecorder(cfg Config, bench string, ps *procSim, acct *power.Accountin
 		bench:      bench,
 		proc:       proc,
 		kFault:     prefix + ".fault.injected",
-		kFired:     prefix + ".watchdog.fired",
 		kInstances: prefix + ".instances",
 		kMissed:    prefix + ".missed",
 		kReplanned: prefix + ".replanned",
@@ -307,9 +306,6 @@ func (r *runRecorder) instanceDone(res taskResult, usedNs, deadlineNs float64, r
 	}
 	r.latency.Observe(0, res.endCycles)
 	r.slack.Observe(slackNs)
-	if res.missed {
-		r.cs.Add(r.kFired, 1)
-	}
 	r.cs.Add(r.kInstances, 1)
 	if res.missed {
 		r.cs.Add(r.kMissed, 1)

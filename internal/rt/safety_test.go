@@ -56,8 +56,8 @@ func TestSafetyCampaignSmoke(t *testing.T) {
 
 // TestSafetyCampaignFull sweeps every fault kind across all six benchmarks
 // on 8 workers and cross-checks the report's bookkeeping against the
-// coalesced counters: every watchdog-detected overrun must be counted as a
-// watchdog.fired, and fault volumes must match.
+// coalesced counters: every watchdog-detected overrun must be counted as
+// missed, and fault volumes must match.
 func TestSafetyCampaignFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fault sweep in -short mode")
