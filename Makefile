@@ -14,8 +14,10 @@ tier1: build
 # Tier 2: static hygiene.
 tier2: vet fmt-check
 
+# bench/ is a separate Go module, so it is vetted on its own.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -48,8 +50,9 @@ tier-lint:
 	$(GO) run ./cmd/visavet ./...
 
 # Tier obs: the coalescing-sink scaling benchmarks, run for 100 iterations
-# so a scaling regression fails loudly. The obs, rt and cmd/experiments
-# test suites behind the observability layer already run in tier1.
+# to report ns/op and allocs/op. They assert nothing; the allocation gate
+# is TestCoalescingSinkAddAllocs in tier1, which also runs the obs, rt and
+# cmd/experiments test suites behind the observability layer.
 tier-obs:
 	$(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchtime 100x -benchmem ./internal/obs/
 

@@ -230,7 +230,7 @@ func metricsSink(dir, name string) (*obs.Sink, func() error) {
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	check(err)
-	mw := obs.NewMetricsWriter(f, obs.FormatForPath(path))
+	mw := obs.NewMetricsWriter(f)
 	return &obs.Sink{Metrics: mw}, func() error {
 		if err := mw.Close(); err != nil {
 			f.Close()

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,19 +55,26 @@ func TestCPUProfileLoadable(t *testing.T) {
 }
 
 // TestCoalescedCampaignsByteIdentical: the acceptance criterion at the
-// binary level — safety and conform campaigns, whose counters always
-// coalesce, produce byte-identical stdout and metrics for -j 1 and -j 8.
+// binary level — safety and conform campaigns and the Figure 4 plan, whose
+// counters always coalesce, produce byte-identical stdout and metrics for
+// -j 1 and -j 8, and each metrics stream matches its SHA-256 digest in
+// testdata/metrics.sha256. The Figure 4 stream carries the switch-drain
+// and instance-latency kind:"hist" records. The digests pin the stream's
+// bytes across changes; after an intended format change, regenerate them
+// with `sha256sum` over the streams the same arguments write.
 func TestCoalescedCampaignsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips the campaign sweep")
 	}
 	bin := buildExperiments(t)
+	digests := readDigests(t, filepath.Join("testdata", "metrics.sha256"))
 	campaigns := []struct {
 		name string
 		args []string
 	}{
 		{"safety.jsonl", []string{"-campaign", "safety", "-rates", "250", "-faults", "fetch-stall", "-n", "12"}},
 		{"conform.jsonl", []string{"-campaign", "conform", "-n", "4"}},
+		{"fig4.jsonl", []string{"-fig4", "-n", "20"}},
 	}
 	for _, c := range campaigns {
 		outs := map[string][]byte{}
@@ -97,5 +107,27 @@ func TestCoalescedCampaignsByteIdentical(t *testing.T) {
 		if !bytes.Contains(metrics["1"], []byte(`"kind":"counter.flush"`)) {
 			t.Errorf("%s: no counter.flush records in coalesced stream", c.name)
 		}
+		sum := sha256.Sum256(metrics["1"])
+		if got, want := hex.EncodeToString(sum[:]), digests[c.name]; got != want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, got, want)
+		}
 	}
+}
+
+// readDigests parses a `sha256sum` listing into file name → hex digest.
+func readDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[name] = sum
+	}
+	return out
 }

@@ -22,9 +22,7 @@
 // https://ui.perfetto.dev or chrome://tracing (single benchmark only — the
 // trace is one shared timeline). -metrics streams one machine-readable
 // record per run and per sub-task, then the full counter registry, as
-// JSONL. The stream mixes record kinds, so a .csv path, which needs one
-// schema per file, is refused with exit status 2 before anything runs.
-// Both outputs use simulated time only and are byte-identical across
+// JSONL. Both outputs use simulated time only and are byte-identical across
 // repeated runs.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run;
@@ -86,10 +84,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-	if obs.FormatForPath(*metricsPath) == obs.FormatCSV {
-		fmt.Fprintf(os.Stderr, "visasim: -metrics %s: the stream mixes record kinds, which CSV cannot hold; use a JSONL path\n", *metricsPath)
-		os.Exit(2)
-	}
 
 	prof, err := obs.StartProfile(obs.ProfileOptions{
 		CPUPath: *cpuprofile, MemPath: *memprofile, HTTPAddr: *pprofAddr,
@@ -143,7 +137,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sink.Metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsPath))
+		sink.Metrics = obs.NewMetricsWriter(mf)
 	}
 	plan := &rt.Plan{Name: "visasim", Render: func(r *rt.Report) string {
 		var b strings.Builder
@@ -453,18 +447,13 @@ func runSim(prog *isa.Program, proc rt.Proc, mhz, runs int, spec *fault.Spec, tr
 	}
 
 	for _, s := range reg.Snapshot() {
-		rec := obs.Record{
+		mw.Write(obs.Record{
 			obs.F("kind", "counter"),
 			obs.F("task", taskName),
 			obs.F("proc", procName),
 			obs.F("name", s.Name),
-		}
-		if s.Integer {
-			rec = append(rec, obs.F("value", s.Int()))
-		} else {
-			rec = append(rec, obs.F("value", s.Value))
-		}
-		mw.Write(rec)
+			obs.F("value", s.Value),
+		})
 	}
 	return out.String(), nil
 }

@@ -121,27 +121,3 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricsCSVRefused: the metrics stream mixes record kinds, so a .csv
-// path is a usage error caught before anything is simulated or created.
-func TestMetricsCSVRefused(t *testing.T) {
-	bin := buildVisasim(t)
-	path := filepath.Join(t.TempDir(), "m.csv")
-	cmd := exec.Command(bin, "-bench", "fft", "-metrics", path)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("-metrics %s: err %v, want exit status 2", path, err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("stdout = %q, want nothing simulated", stdout.Bytes())
-	}
-	if !bytes.Contains(stderr.Bytes(), []byte("JSONL")) {
-		t.Errorf("stderr = %q, want it to name JSONL", stderr.Bytes())
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("%s: stat err %v, want the file never created", path, err)
-	}
-}

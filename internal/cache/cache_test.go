@@ -190,7 +190,7 @@ func TestRegisterObs(t *testing.T) {
 	c.Access(0)
 	vals := map[string]int64{}
 	for _, s := range reg.Snapshot() {
-		vals[s.Name] = s.Int()
+		vals[s.Name] = s.Value
 	}
 	if vals["l1d.accesses"] != 2 || vals["l1d.misses"] != 1 || vals["l1d.hits"] != 1 {
 		t.Errorf("snapshot = %v", vals)

@@ -33,7 +33,7 @@ func BenchmarkTracerComplete(b *testing.B) {
 
 // BenchmarkMetricsJSONL measures the per-record JSONL emission cost.
 func BenchmarkMetricsJSONL(b *testing.B) {
-	mw := NewMetricsWriter(io.Discard, FormatJSONL)
+	mw := NewMetricsWriter(io.Discard)
 	for i := 0; i < b.N; i++ {
 		mw.Write(Record{F("kind", "instance"), F("n", i), F("x", 2.5), F("ok", true)})
 	}

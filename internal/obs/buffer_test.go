@@ -16,7 +16,7 @@ func TestRecordBufferReplay(t *testing.T) {
 	}
 
 	var direct bytes.Buffer
-	dw := NewMetricsWriter(&direct, FormatJSONL)
+	dw := NewMetricsWriter(&direct)
 	for _, r := range recs {
 		dw.Write(r)
 	}
@@ -33,7 +33,7 @@ func TestRecordBufferReplay(t *testing.T) {
 	}
 
 	var replayed bytes.Buffer
-	rw := NewMetricsWriter(&replayed, FormatJSONL)
+	rw := NewMetricsWriter(&replayed)
 	buf.Replay(rw)
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestRecordBufferReset(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	sw := NewMetricsWriter(&out, FormatJSONL)
+	sw := NewMetricsWriter(&out)
 	sw.Write(Record{F("kind", "stream")})
 	sw.Reset() // no-op on streaming writers
 	if out.Len() == 0 {

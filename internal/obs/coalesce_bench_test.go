@@ -15,7 +15,7 @@ import (
 // write the coalescer replaces — by an order of magnitude.
 
 func benchSink(th int64) *CoalescingSink {
-	return NewCoalescingSink(NewMetricsWriter(io.Discard, FormatJSONL),
+	return NewCoalescingSink(NewMetricsWriter(io.Discard),
 		CoalesceOptions{Threshold: th, MaxAge: -1})
 }
 
@@ -67,7 +67,7 @@ func BenchmarkCoalescingSinkAddManyKeys(b *testing.B) {
 // Baseline for comparison: the per-event durable write the coalescer
 // replaces. This is the O(N) path — every event encodes and writes.
 func BenchmarkPerEventRecordWrite(b *testing.B) {
-	mw := NewMetricsWriter(io.Discard, FormatJSONL)
+	mw := NewMetricsWriter(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

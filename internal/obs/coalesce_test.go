@@ -9,7 +9,7 @@ import (
 // coalescer builds a sink over an in-memory JSONL writer.
 func coalescer(o CoalesceOptions) (*CoalescingSink, *bytes.Buffer) {
 	var buf bytes.Buffer
-	return NewCoalescingSink(NewMetricsWriter(&buf, FormatJSONL), o), &buf
+	return NewCoalescingSink(NewMetricsWriter(&buf), o), &buf
 }
 
 // TestCoalescingNil: the whole surface must be a no-op through nil.
@@ -156,7 +156,7 @@ func TestCoalescingDeterminism(t *testing.T) {
 // sink seeded from the stream must resume exact accounting.
 func TestCoalescingCrashRestart(t *testing.T) {
 	var buf bytes.Buffer
-	mw := NewMetricsWriter(&buf, FormatJSONL)
+	mw := NewMetricsWriter(&buf)
 
 	// Epoch 1: 27 admitted, threshold flushes cover 20 of them, then the
 	// process "crashes" — the sink (and its Δ=7) is simply dropped.

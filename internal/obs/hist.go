@@ -134,32 +134,8 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// fmtBound renders a boundary deterministically for sample/field names.
+// fmtBound renders a boundary deterministically for record field names.
 func fmtBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
-
-// Samples expands the histogram into registry samples: <name>.count, .sum,
-// .min, .max, one cumulative <name>.le.<bound> per boundary, and
-// <name>.overflow. The expansion is deterministic; Registry.Snapshot sorts
-// it with everything else.
-func (h *Histogram) Samples() []Sample {
-	if h == nil {
-		return nil
-	}
-	out := make([]Sample, 0, len(h.bounds)+5)
-	out = append(out,
-		Sample{Name: h.name + ".count", Value: float64(h.count), Integer: true},
-		Sample{Name: h.name + ".sum", Value: h.sum},
-		Sample{Name: h.name + ".min", Value: h.Min()},
-		Sample{Name: h.name + ".max", Value: h.Max()},
-	)
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		out = append(out, Sample{Name: h.name + ".le." + fmtBound(b), Value: float64(cum), Integer: true})
-	}
-	out = append(out, Sample{Name: h.name + ".overflow", Value: float64(h.counts[len(h.bounds)]), Integer: true})
-	return out
-}
 
 // Record renders the histogram as one ordered metrics record — the
 // snapshot path for streamed (per-job, plan-order merged) export. Context
@@ -184,46 +160,4 @@ func (h *Histogram) Record(context ...Field) Record {
 	}
 	rec = append(rec, F("overflow", h.counts[len(h.bounds)]))
 	return rec
-}
-
-// Timer measures simulated-time durations into a fixed-boundary histogram.
-// Durations are differences of the caller's simulated clock (cycles, ns at
-// a fixed frequency, ...) — a Timer never reads the wall clock, so timer
-// exports are as reproducible as everything else in the package.
-type Timer struct {
-	h *Histogram
-}
-
-// NewTimer builds a timer over the given duration boundaries.
-func NewTimer(name string, bounds []float64) (*Timer, error) {
-	h, err := NewHistogram(name, bounds)
-	if err != nil {
-		return nil, err
-	}
-	return &Timer{h: h}, nil
-}
-
-// MustTimer is NewTimer for fixed literal boundaries; panics on invalid.
-func MustTimer(name string, bounds []float64) *Timer {
-	t, err := NewTimer(name, bounds)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Observe records the span [start, end] on the caller's simulated clock.
-func (t *Timer) Observe(start, end int64) {
-	if t == nil {
-		return
-	}
-	t.h.ObserveInt(end - start)
-}
-
-// H exposes the underlying histogram for export (nil on nil).
-func (t *Timer) H() *Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.h
 }

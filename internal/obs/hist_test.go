@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestHistogramValidation(t *testing.T) {
 	if _, err := NewHistogram("", []float64{1}); err == nil {
@@ -33,13 +30,8 @@ func TestHistogramNil(t *testing.T) {
 	if h.Name() != "" || h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Error("nil histogram not a no-op")
 	}
-	if h.Samples() != nil || h.Record() != nil {
-		t.Error("nil histogram exports samples")
-	}
-	var tm *Timer
-	tm.Observe(0, 5)
-	if tm.H() != nil {
-		t.Error("nil timer exposes a histogram")
+	if h.Record() != nil {
+		t.Error("nil histogram exports a record")
 	}
 }
 
@@ -54,22 +46,19 @@ func TestHistogramBucketing(t *testing.T) {
 	if h.Sum() != 125 {
 		t.Errorf("sum = %g, want 125", h.Sum())
 	}
-	// Bucket semantics: v <= bound, cumulative in Samples.
-	want := map[string]float64{
-		"lat.count":    8,
-		"lat.le.1":     2, // 0.5, 1
-		"lat.le.2":     4, // + 1.5, 2
-		"lat.le.4":     5, // + 3
-		"lat.le.8":     6, // + 8
-		"lat.overflow": 2, // 9, 100
+	// Bucket semantics: v <= bound, cumulative in the record.
+	want := map[string]int64{
+		"count":    8,
+		"le_1":     2, // 0.5, 1
+		"le_2":     4, // + 1.5, 2
+		"le_4":     5, // + 3
+		"le_8":     6, // + 8
+		"overflow": 2, // 9, 100
 	}
-	got := map[string]float64{}
-	for _, s := range h.Samples() {
-		got[s.Name] = s.Value
-	}
-	for name, v := range want {
-		if got[name] != v {
-			t.Errorf("%s = %g, want %g", name, got[name], v)
+	rec := h.Record()
+	for key, v := range want {
+		if got := rec.Get(key); got != v {
+			t.Errorf("%s = %v, want %d", key, got, v)
 		}
 	}
 }
@@ -105,57 +94,4 @@ func TestExp2Boundaries(t *testing.T) {
 	if _, err := NewHistogram("h", Exp2Boundaries(4, 0)); err != nil {
 		t.Errorf("reversed-range ladder rejected: %v", err)
 	}
-}
-
-func TestTimerObservesSimulatedSpans(t *testing.T) {
-	tm := MustTimer("drain", Exp2Boundaries(0, 4))
-	tm.Observe(100, 103) // 3 cycles
-	tm.Observe(200, 212) // 12 cycles
-	h := tm.H()
-	if h.Count() != 2 || h.Sum() != 15 || h.Min() != 3 || h.Max() != 12 {
-		t.Errorf("timer histogram count/sum/min/max = %d/%g/%g/%g",
-			h.Count(), h.Sum(), h.Min(), h.Max())
-	}
-}
-
-// TestRegistryHistograms: registered histograms expand into the snapshot,
-// sorted with the scalar series; re-registration by name replaces.
-func TestRegistryHistograms(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("z.count", func() int64 { return 1 })
-	h := MustHistogram("a.lat", []float64{1, 2})
-	h.Observe(1.5)
-	reg.Histogram(h)
-	if reg.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (histogram counts once)", reg.Len())
-	}
-	snap := reg.Snapshot()
-	var names []string
-	for _, s := range snap {
-		names = append(names, s.Name)
-	}
-	joined := strings.Join(names, ",")
-	want := "a.lat.count,a.lat.le.1,a.lat.le.2,a.lat.max,a.lat.min,a.lat.overflow,a.lat.sum,z.count"
-	if joined != want {
-		t.Errorf("snapshot order = %s, want %s", joined, want)
-	}
-
-	// Replacement by name.
-	h2 := MustHistogram("a.lat", []float64{1, 2})
-	h2.Observe(0.5)
-	h2.Observe(0.5)
-	reg.Histogram(h2)
-	if reg.Len() != 2 {
-		t.Errorf("Len after replace = %d, want 2", reg.Len())
-	}
-	for _, s := range reg.Snapshot() {
-		if s.Name == "a.lat.count" && s.Int() != 2 {
-			t.Errorf("replaced histogram count = %d, want 2", s.Int())
-		}
-	}
-
-	// Nil safety both ways.
-	reg.Histogram(nil)
-	var nilReg *Registry
-	nilReg.Histogram(h)
 }

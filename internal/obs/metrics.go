@@ -1,18 +1,14 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Field is one key/value pair of a metrics record. Field order is the
-// record's order: the JSONL exporter preserves it and the CSV exporter
-// derives its header from the first record, so records of one stream
-// should share a schema (a "kind" field conventionally leads).
+// record's order, and the JSONL exporter preserves it (a "kind" field
+// conventionally leads).
 type Field struct {
 	Key string
 	Val any
@@ -34,62 +30,27 @@ func (r Record) Get(key string) any {
 	return nil
 }
 
-// Format selects a metrics encoding.
-type Format int
-
-// Supported encodings.
-const (
-	FormatJSONL Format = iota // one JSON object per line
-	FormatCSV                 // header from the first record, then rows
-)
-
-// FormatForPath picks CSV for .csv paths (case-insensitively, so ".CSV"
-// and ".Csv" select CSV too) and JSONL otherwise.
-func FormatForPath(path string) Format {
-	if len(path) >= 4 && strings.EqualFold(path[len(path)-4:], ".csv") {
-		return FormatCSV
-	}
-	return FormatJSONL
-}
-
-// SchemaError reports a CSV record whose fields do not match the header
-// derived from the stream's first record. CSV is positional: silently
-// dropping or blank-filling mismatched fields would emit a corrupt row, so
-// the writer fails sticky with this error instead. (JSONL streams are
-// self-describing and carry mixed schemas freely.)
-type SchemaError struct {
-	Header []string // the stream's header (first record's keys, in order)
-	Keys   []string // the offending record's keys, in order
-}
-
-func (e *SchemaError) Error() string {
-	return fmt.Sprintf("obs: csv record schema %v does not match stream header %v", e.Keys, e.Header)
-}
-
-// MetricsWriter streams records to w in the chosen format. Writes are
-// buffered only by the underlying writer; errors are sticky and reported by
-// Err/Close so emission sites stay unconditional. All methods are no-ops on
-// a nil receiver.
+// MetricsWriter streams records to w as JSONL, one JSON object per line.
+// Writes are buffered only by the underlying writer; errors are sticky and
+// reported by Err/Close so emission sites stay unconditional. All methods
+// are no-ops on a nil receiver.
 type MetricsWriter struct {
-	w      io.Writer
-	format Format
-	csvw   *csv.Writer
-	header []string
-	err    error
-	n      int
+	w   io.Writer
+	err error
+	n   int
 
 	buffer bool
 	recs   []Record
 }
 
-// NewMetricsWriter creates a writer emitting the given format to w.
-func NewMetricsWriter(w io.Writer, format Format) *MetricsWriter {
-	return &MetricsWriter{w: w, format: format}
+// NewMetricsWriter creates a writer emitting JSONL to w.
+func NewMetricsWriter(w io.Writer) *MetricsWriter {
+	return &MetricsWriter{w: w}
 }
 
 // NewRecordBuffer returns a MetricsWriter that retains records in memory
 // instead of encoding them. Replay hands the retained records to a real
-// writer in insertion order; because the encoders are deterministic, a
+// writer in insertion order; because the encoder is deterministic, a
 // buffered-then-replayed stream is byte-identical to direct writes. The
 // parallel experiment engine gives each job its own buffer and replays
 // them in plan order, which is what makes concurrent runs reproducible.
@@ -137,12 +98,7 @@ func (m *MetricsWriter) Write(rec Record) {
 		m.n++
 		return
 	}
-	switch m.format {
-	case FormatCSV:
-		m.writeCSV(rec)
-	default:
-		m.writeJSONL(rec)
-	}
+	m.writeJSONL(rec)
 	if m.err == nil {
 		m.n++
 	}
@@ -164,18 +120,10 @@ func (m *MetricsWriter) Err() error {
 	return m.err
 }
 
-// Close flushes buffered state (CSV) and returns the sticky error.
+// Close returns the sticky error. The writer holds no buffered state of
+// its own, so Close marks the end of the stream and nothing more.
 func (m *MetricsWriter) Close() error {
-	if m == nil {
-		return nil
-	}
-	if m.csvw != nil {
-		m.csvw.Flush()
-		if m.err == nil {
-			m.err = m.csvw.Error()
-		}
-	}
-	return m.err
+	return m.Err()
 }
 
 func (m *MetricsWriter) writeJSONL(rec Record) {
@@ -203,71 +151,5 @@ func (m *MetricsWriter) writeJSONL(rec Record) {
 	buf = append(buf, '}', '\n')
 	if _, err := m.w.Write(buf); err != nil {
 		m.err = err
-	}
-}
-
-func (m *MetricsWriter) writeCSV(rec Record) {
-	if m.csvw == nil {
-		m.csvw = csv.NewWriter(m.w)
-		m.header = make([]string, len(rec))
-		for i, f := range rec {
-			m.header[i] = f.Key
-		}
-		if err := m.csvw.Write(m.header); err != nil {
-			m.err = err
-			return
-		}
-	}
-	if err := m.checkSchema(rec); err != nil {
-		m.err = err
-		return
-	}
-	row := make([]string, len(m.header))
-	for i, key := range m.header {
-		if v := rec.Get(key); v != nil {
-			row[i] = formatCSVValue(v)
-		}
-	}
-	if err := m.csvw.Write(row); err != nil {
-		m.err = err
-	}
-}
-
-// checkSchema verifies that rec carries exactly the header's keys (order
-// may differ — rows are assembled by key). A mismatch is a *SchemaError.
-func (m *MetricsWriter) checkSchema(rec Record) error {
-	ok := len(rec) == len(m.header)
-	if ok {
-		for _, key := range m.header {
-			if rec.Get(key) == nil {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
-		return nil
-	}
-	keys := make([]string, len(rec))
-	for i, f := range rec {
-		keys[i] = f.Key
-	}
-	return &SchemaError{Header: append([]string(nil), m.header...), Keys: keys}
-}
-
-func formatCSVValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case bool:
-		return strconv.FormatBool(x)
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	default:
-		return fmt.Sprint(x)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -12,8 +11,8 @@ import (
 // receivers — the disabled path of the whole instrumentation layer.
 func TestNilSinkNoOps(t *testing.T) {
 	var sink *Sink
-	tr, mw, reg := sink.T(), sink.M(), sink.R()
-	if tr != nil || mw != nil || reg != nil {
+	tr, mw, cs := sink.T(), sink.M(), sink.C()
+	if tr != nil || mw != nil || cs != nil {
 		t.Fatal("nil sink must hand out nil surfaces")
 	}
 	if tr.Enabled() {
@@ -43,9 +42,9 @@ func TestNilSinkNoOps(t *testing.T) {
 		t.Error("nil metrics writer not a no-op")
 	}
 
+	var reg *Registry
 	reg.Counter("a", func() int64 { return 1 })
-	reg.Gauge("b", func() float64 { return 2 })
-	if reg.Len() != 0 || reg.Snapshot() != nil {
+	if reg.Snapshot() != nil {
 		t.Error("nil registry not a no-op")
 	}
 }
@@ -53,7 +52,7 @@ func TestNilSinkNoOps(t *testing.T) {
 func TestRegistrySnapshotSortedAndReplaced(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("z.count", func() int64 { return 3 })
-	reg.Gauge("a.gauge", func() float64 { return 1.5 })
+	reg.Counter("a.count", func() int64 { return 1 })
 	reg.Counter("m.count", func() int64 { return 7 })
 	// Re-registration replaces (idempotent wiring across runs).
 	reg.Counter("z.count", func() int64 { return 4 })
@@ -62,17 +61,14 @@ func TestRegistrySnapshotSortedAndReplaced(t *testing.T) {
 	if len(snap) != 3 {
 		t.Fatalf("snapshot len = %d, want 3", len(snap))
 	}
-	wantNames := []string{"a.gauge", "m.count", "z.count"}
+	wantNames := []string{"a.count", "m.count", "z.count"}
 	for i, s := range snap {
 		if s.Name != wantNames[i] {
 			t.Errorf("snapshot[%d] = %q, want %q", i, s.Name, wantNames[i])
 		}
 	}
-	if snap[2].Int() != 4 {
-		t.Errorf("replaced counter = %d, want 4", snap[2].Int())
-	}
-	if snap[0].Integer || snap[0].Value != 1.5 {
-		t.Errorf("gauge sample = %+v", snap[0])
+	if snap[2].Value != 4 {
+		t.Errorf("replaced counter = %d, want 4", snap[2].Value)
 	}
 }
 
@@ -144,7 +140,7 @@ func TestTraceDeterminism(t *testing.T) {
 
 func TestMetricsJSONLPreservesOrder(t *testing.T) {
 	var buf bytes.Buffer
-	mw := NewMetricsWriter(&buf, FormatJSONL)
+	mw := NewMetricsWriter(&buf)
 	mw.Write(Record{F("kind", "instance"), F("n", 1), F("x", 2.5), F("ok", true)})
 	mw.Write(Record{F("kind", "instance"), F("n", 2), F("x", 3.5), F("ok", false)})
 	if err := mw.Close(); err != nil {
@@ -161,89 +157,6 @@ func TestMetricsJSONLPreservesOrder(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal([]byte(lines[1]), &m); err != nil {
 		t.Fatalf("line 1 invalid JSON: %v", err)
-	}
-}
-
-func TestMetricsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	mw := NewMetricsWriter(&buf, FormatCSV)
-	mw.Write(Record{F("kind", "r"), F("n", int64(1)), F("x", 0.5)})
-	mw.Write(Record{F("kind", "r"), F("n", int64(2)), F("x", 1.25)})
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := "kind,n,x\nr,1,0.5\nr,2,1.25\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestFormatForPath(t *testing.T) {
-	cases := []struct {
-		path string
-		want Format
-	}{
-		{"out.csv", FormatCSV},
-		{"out.CSV", FormatCSV},
-		{"out.Csv", FormatCSV},
-		{"dir/metrics.cSv", FormatCSV},
-		{"out.jsonl", FormatJSONL},
-		{"out.Jsonl", FormatJSONL},
-		{"out.JSONL", FormatJSONL},
-		{"out.txt", FormatJSONL},
-		{"csv", FormatJSONL},    // extension, not a bare name
-		{".csv", FormatCSV},     // exactly the extension
-		{"outcsv", FormatJSONL}, // no dot
-		{"out.csv.gz", FormatJSONL},
-		{"", FormatJSONL},
-	}
-	for _, c := range cases {
-		if got := FormatForPath(c.path); got != c.want {
-			t.Errorf("FormatForPath(%q) = %v, want %v", c.path, got, c.want)
-		}
-	}
-}
-
-// TestMetricsCSVSchemaError: a record whose schema diverges from the
-// header must fail with a typed *SchemaError instead of emitting a
-// silently corrupt row, and the error must be sticky.
-func TestMetricsCSVSchemaError(t *testing.T) {
-	var buf bytes.Buffer
-	mw := NewMetricsWriter(&buf, FormatCSV)
-	mw.Write(Record{F("kind", "r"), F("n", int64(1))})
-	mw.Write(Record{F("kind", "r"), F("other", int64(2))}) // same arity, wrong key
-	var se *SchemaError
-	if !errors.As(mw.Err(), &se) {
-		t.Fatalf("want *SchemaError, got %v", mw.Err())
-	}
-	if len(se.Header) != 2 || se.Header[0] != "kind" || se.Keys[1] != "other" {
-		t.Errorf("SchemaError carries header %v / keys %v", se.Header, se.Keys)
-	}
-	// Sticky: later conforming writes stay suppressed, Close reports it.
-	mw.Write(Record{F("kind", "r"), F("n", int64(3))})
-	if mw.Count() != 1 {
-		t.Errorf("count = %d after schema error, want 1", mw.Count())
-	}
-	if !errors.As(mw.Close(), &se) {
-		t.Errorf("Close() = %v, want the schema error", mw.Close())
-	}
-	if got := buf.String(); got != "kind,n\nr,1\n" {
-		t.Errorf("stream carries %q; no corrupt row may follow the error", got)
-	}
-
-	// Arity mismatch (extra field) is also a schema error.
-	mw2 := NewMetricsWriter(&bytes.Buffer{}, FormatCSV)
-	mw2.Write(Record{F("a", 1)})
-	mw2.Write(Record{F("a", 1), F("b", 2)})
-	if !errors.As(mw2.Err(), &se) {
-		t.Errorf("extra field: want *SchemaError, got %v", mw2.Err())
-	}
-	// Reordered fields are fine: rows are assembled by key.
-	mw3 := NewMetricsWriter(&bytes.Buffer{}, FormatCSV)
-	mw3.Write(Record{F("a", 1), F("b", 2)})
-	mw3.Write(Record{F("b", 3), F("a", 4)})
-	if err := mw3.Close(); err != nil {
-		t.Errorf("reordered same-schema record rejected: %v", err)
 	}
 }
 

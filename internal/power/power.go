@@ -1,10 +1,6 @@
 package power
 
-import (
-	"fmt"
-
-	"visa/internal/obs"
-)
+import "fmt"
 
 // OperatingPoint is one DVS frequency/voltage setting. Following §5.2, the
 // table is extrapolated from the Intel XScale's reported range into 37
@@ -240,21 +236,6 @@ func (acct *Accounting) Cycles() int64 { return acct.cycles }
 // Reset clears the accumulator.
 func (acct *Accounting) Reset() {
 	*acct = Accounting{Profile: acct.Profile, Standby: acct.Standby}
-}
-
-// RegisterObs registers the accounting's energy breakdown under prefix
-// (e.g. "cnt.complex.power"): total, clock-tree, idle, and standby energy,
-// one gauge per Wattch-style structure, and the accumulated cycle count.
-func (acct *Accounting) RegisterObs(reg *obs.Registry, prefix string) {
-	reg.Gauge(prefix+".energy.total", func() float64 { return acct.energy })
-	reg.Gauge(prefix+".energy.clock", func() float64 { return acct.clockE })
-	reg.Gauge(prefix+".energy.idle", func() float64 { return acct.idleE })
-	reg.Gauge(prefix+".energy.standby", func() float64 { return acct.standbyE })
-	for u := Unit(0); u < numUnits; u++ {
-		u := u
-		reg.Gauge(prefix+".energy.unit."+u.String(), func() float64 { return acct.unitE[u] })
-	}
-	reg.Counter(prefix+".cycles", func() int64 { return acct.cycles })
 }
 
 // AvgPower converts accumulated energy over a wall-clock period in

@@ -26,7 +26,7 @@ func smallSafetyPlan() *Plan {
 func runCoalesced(t *testing.T, workers int) (*Report, string) {
 	t.Helper()
 	var metrics bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 	rep, err := (&Engine{Workers: workers, Sink: sink}).Run(smallSafetyPlan())
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestCoalescedCountersReconcile(t *testing.T) {
 func TestCoalescedComparisonPlans(t *testing.T) {
 	run := func(workers int) (string, string) {
 		var metrics bytes.Buffer
-		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 		rep, err := (&Engine{Workers: workers, Sink: sink}).Run(Figure2Plan(clab.All()[:3], 15))
 		if err != nil {
 			t.Fatal(err)

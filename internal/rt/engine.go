@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"visa/internal/exec"
 	"visa/internal/obs"
@@ -28,28 +27,19 @@ import (
 // And job failures are stored at the job's plan index too, so the report's
 // failure section and Err() are plan-order deterministic.
 //
-// The engine is crash-proof: a panicking job is converted to a PanicError
-// at its index rather than taking the process (and the other workers) down,
-// a transient failure (one wrapped with Transient) is retried up to
-// MaxRetries times with doubling Backoff, and a job exceeding its cycle
-// budget fails with ErrCycleBudget. Failed jobs degrade gracefully — the
-// Report still carries every other job's row and metrics.
+// The engine runs each job once and is crash-proof: a panicking job is
+// converted to a PanicError at its index rather than taking the process
+// (and the other workers) down, and a job exceeding its cycle budget fails
+// with ErrCycleBudget. Failed jobs degrade gracefully — the Report still
+// carries every other job's row and metrics.
 type Engine struct {
 	// Workers is the pool size; <= 0 selects runtime.NumCPU().
 	Workers int
 
-	// Sink receives the merged metrics stream. Attaching a Tracer or
-	// Registry forces serial execution: their timelines/name-spaces are
-	// shared mutable state that only an in-order run keeps deterministic.
+	// Sink receives the merged metrics stream. Attaching a Tracer forces
+	// serial execution: its timeline is shared mutable state that only an
+	// in-order run keeps deterministic.
 	Sink *obs.Sink
-
-	// MaxRetries bounds re-execution of jobs that fail with a Transient
-	// error. 0 disables retry; permanent errors are never retried.
-	MaxRetries int
-
-	// Backoff is the sleep before the first retry; it doubles on each
-	// subsequent attempt. Zero means retry immediately.
-	Backoff time.Duration
 
 	// CycleBudget, when > 0, is applied as Config.CycleBudget to every
 	// standard job whose config leaves it unset — a per-task watchdog on
@@ -59,22 +49,9 @@ type Engine struct {
 	// OnJobDone, when non-nil, is called once per job as it completes —
 	// in completion order, from the worker goroutines, so the callback
 	// must be safe for concurrent use. recs is the job's buffered metrics
-	// stream (nil when metrics are off); retried jobs report once, after
-	// the final attempt. The service layer streams per-job results through
-	// this hook; consumers needing plan order key on i.
+	// stream (nil when metrics are off). The service layer streams per-job
+	// results through this hook; consumers needing plan order key on i.
 	OnJobDone func(i int, res JobResult, recs []obs.Record, err error)
-}
-
-// ErrTransient marks an error as retryable by the engine. Wrap with
-// Transient; test with errors.Is(err, ErrTransient).
-var ErrTransient = errors.New("transient failure")
-
-// Transient wraps err so the engine's retry loop will re-run the job.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrTransient, err)
 }
 
 // PanicError is a job panic captured by the engine's recovery barrier. Its
@@ -89,8 +66,8 @@ func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.V
 
 // Run validates every job, executes the plan, merges results in plan
 // order, and renders the report text. Configuration errors are hard
-// failures (nil Report); execution failures — panics, budget overruns,
-// exhausted retries — degrade gracefully into Report.Errors.
+// failures (nil Report); execution failures — panics, budget overruns —
+// degrade gracefully into Report.Errors.
 func (e *Engine) Run(p *Plan) (*Report, error) {
 	jobs := make([]Job, len(p.Jobs))
 	copy(jobs, p.Jobs)
@@ -117,7 +94,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if e.sink().T() != nil || e.sink().R() != nil {
+	if e.sink().T() != nil {
 		workers = 1
 	}
 	if workers > len(jobs) {
@@ -138,7 +115,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], bufs[i], errs[i] = e.runWithRetry(jobs[i], workers == 1)
+				results[i], bufs[i], errs[i] = e.runOnce(jobs[i], workers == 1)
 				if e.OnJobDone != nil {
 					e.OnJobDone(i, results[i], bufs[i].Records(), errs[i])
 				}
@@ -173,32 +150,21 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	return rep, nil
 }
 
-// runWithRetry executes one job under the panic barrier, retrying
-// transient failures with doubling backoff. Each attempt gets a fresh
-// per-job sink, so a retried job's metrics and counters appear exactly once.
-func (e *Engine) runWithRetry(job Job, serial bool) (JobResult, *obs.MetricsWriter, error) {
-	backoff := e.Backoff
-	for attempt := 0; ; attempt++ {
-		sink := e.jobSink(serial)
-		res, err := safeRun(job, sink)
-		if cerr := sink.C().Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= e.MaxRetries {
-			return res, sink.M(), classify(err)
-		}
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
+// runOnce executes one job under the panic barrier on a fresh per-job
+// sink, then flushes the job's counters into its record buffer.
+func (e *Engine) runOnce(job Job, serial bool) (JobResult, *obs.MetricsWriter, error) {
+	sink := e.jobSink(serial)
+	res, err := safeRun(job, sink)
+	if cerr := sink.C().Close(); cerr != nil && err == nil {
+		err = cerr
 	}
+	return res, sink.M(), classify(err)
 }
 
-// jobSink builds one job attempt's private sink. With metrics on, it
-// carries a fresh record buffer and a coalescing counter sink over it
-// (closed at job end, which flushes every dirty series). Serial runs also
-// share the engine's tracer and counter registry directly: jobs arrive in
-// order.
+// jobSink builds one job's private sink. With metrics on, it carries a
+// fresh record buffer and a coalescing counter sink over it (closed at job
+// end, which flushes every dirty series). Serial runs also share the
+// engine's tracer directly: jobs arrive in order.
 func (e *Engine) jobSink(serial bool) *obs.Sink {
 	sink := &obs.Sink{}
 	if e.sink().M() != nil {
@@ -207,7 +173,6 @@ func (e *Engine) jobSink(serial bool) *obs.Sink {
 	}
 	if serial {
 		sink.Trace = e.sink().T()
-		sink.Registry = e.sink().R()
 	}
 	return sink
 }

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +27,7 @@ func runAllPlans(t *testing.T, workers, instances int) (string, string) {
 		Figure4Plan(all, instances),
 	} {
 		var buf bytes.Buffer
-		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf, obs.FormatJSONL)}
+		sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf)}
 		rep, err := (&Engine{Workers: workers, Sink: sink}).Run(plan)
 		if err != nil {
 			t.Fatalf("plan %s (j=%d): %v", plan.Name, workers, err)
@@ -80,11 +82,11 @@ func TestEngineDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineSharedSinkSerializes: a Tracer or Registry on the engine sink
-// is shared mutable state, so the engine must fall back to serial
-// execution — and still deliver trace events and counters.
+// TestEngineSharedSinkSerializes: a Tracer on the engine sink is shared
+// mutable state, so the engine must fall back to serial execution — and
+// still deliver trace events.
 func TestEngineSharedSinkSerializes(t *testing.T) {
-	sink := &obs.Sink{Trace: obs.NewTracer(), Registry: obs.NewRegistry()}
+	sink := &obs.Sink{Trace: obs.NewTracer()}
 	rep, err := (&Engine{Workers: 8, Sink: sink}).Run(
 		Figure4Plan([]*clab.Benchmark{clab.ByName("cnt")}, 10))
 	if err != nil {
@@ -98,9 +100,6 @@ func TestEngineSharedSinkSerializes(t *testing.T) {
 	}
 	if sink.Trace.Len() == 0 {
 		t.Error("no trace events from serialized instrumented run")
-	}
-	if sink.Registry.Len() == 0 {
-		t.Error("no counters registered from serialized instrumented run")
 	}
 }
 
@@ -127,6 +126,11 @@ func TestConfigValidate(t *testing.T) {
 		{"metrics with label", Config{Obs: metricsSink, Label: "x"}, true},
 		{"metrics without counter sink", Config{Obs: &obs.Sink{Metrics: buf}, Label: "x"}, false},
 		{"label optional without metrics", Config{Obs: &obs.Sink{}}, true},
+		{"histogram miss zero", Config{Policy: PETHistogram, HistogramMiss: 0}, true},
+		{"histogram miss one", Config{Policy: PETHistogram, HistogramMiss: 1}, true},
+		{"histogram miss negative", Config{Policy: PETHistogram, HistogramMiss: -3}, false},
+		{"histogram miss above one", Config{Policy: PETHistogram, HistogramMiss: 1.5}, false},
+		{"histogram miss NaN", Config{Policy: PETHistogram, HistogramMiss: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -134,8 +138,8 @@ func TestConfigValidate(t *testing.T) {
 			if c.ok && err != nil {
 				t.Errorf("unexpected error: %v", err)
 			}
-			if !c.ok && err == nil {
-				t.Error("invalid config accepted")
+			if !c.ok && !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("invalid config: err = %v, want ErrInvalidSpec", err)
 			}
 		})
 	}

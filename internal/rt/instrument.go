@@ -5,7 +5,6 @@ import (
 
 	"visa/internal/core"
 	"visa/internal/obs"
-	"visa/internal/power"
 )
 
 // Trace lanes (thread ids) within one processor's timeline process.
@@ -21,9 +20,8 @@ const (
 // attaches:
 //
 //   - trace events on the experiment's simulated-time axis;
-//   - distributional instruments (fixed-boundary histograms and
-//     simulated-time timers), registered into the counter registry and
-//     streamed as kind:"hist" records at the end of the run;
+//   - distributional instruments (fixed-boundary histograms), streamed as
+//     kind:"hist" records at the end of the run;
 //   - coalesced counters (the sink's CoalescingSink, the only counter path).
 //
 // Trace timestamps mirror runTask's time accounting exactly: cycles before
@@ -50,11 +48,11 @@ type runRecorder struct {
 	// passed checkpoint — the distribution whose left tail predicts
 	// recovery switches.
 	margin *obs.Histogram
-	// drain times the recovery switch's drain window in cycles (EQ 2/4's
+	// drain is the recovery switch's drain window in cycles (EQ 2/4's
 	// variable overhead on top of the fixed OvhdNs term).
-	drain *obs.Timer
-	// latency times each task instance's engine execution in cycles.
-	latency *obs.Timer
+	drain *obs.Histogram
+	// latency is each task instance's engine execution in cycles.
+	latency *obs.Histogram
 	// slack is the per-instance deadline slack in ns.
 	slack *obs.Histogram
 
@@ -70,15 +68,13 @@ type runRecorder struct {
 }
 
 // newRunRecorder builds the recorder for one processor run of ps, or
-// returns nil when the config's sink attaches no surface. With a registry
-// attached it also wires ps's structures and the run's energy accounting
-// into it. Counter and instrument names live under the run's registry
-// prefix, so one registry can host many runs; instrument boundaries are
-// fixed powers of two (deterministic, never rebalanced): cycle quantities
-// span 1..2^26, slack spans 1..2^27 ns.
-func newRunRecorder(cfg Config, bench string, ps *procSim, acct *power.Accounting) *runRecorder {
+// returns nil when the config's sink attaches no surface. Counter and
+// instrument names live under the run's prefix, so one stream can host many
+// runs; instrument boundaries are fixed powers of two (deterministic, never
+// rebalanced): cycle quantities span 1..2^26, slack spans 1..2^27 ns.
+func newRunRecorder(cfg Config, bench string, ps *procSim) *runRecorder {
 	sink := cfg.Obs
-	if sink.T() == nil && sink.M() == nil && sink.R() == nil {
+	if sink.T() == nil && sink.M() == nil {
 		return nil
 	}
 	proc := ps.kind.String()
@@ -96,26 +92,19 @@ func newRunRecorder(cfg Config, bench string, ps *procSim, acct *power.Accountin
 		kMissed:    prefix + ".missed",
 		kReplanned: prefix + ".replanned",
 		margin:     obs.MustHistogram(prefix+".hist.watchdog_margin_cycles", obs.Exp2Boundaries(0, 26)),
-		drain:      obs.MustTimer(prefix+".hist.switch_drain_cycles", obs.Exp2Boundaries(0, 16)),
-		latency:    obs.MustTimer(prefix+".hist.instance_cycles", obs.Exp2Boundaries(4, 26)),
+		drain:      obs.MustHistogram(prefix+".hist.switch_drain_cycles", obs.Exp2Boundaries(0, 16)),
+		latency:    obs.MustHistogram(prefix+".hist.instance_cycles", obs.Exp2Boundaries(4, 26)),
 		slack:      obs.MustHistogram(prefix+".hist.deadline_slack_ns", obs.Exp2Boundaries(0, 27)),
 	}
 	if cfg.Fault != nil {
 		r.fault = cfg.Fault.String()
-	}
-	if reg := sink.R(); reg != nil {
-		ps.registerObs(reg, prefix)
-		acct.RegisterObs(reg, prefix+".power")
-		for _, h := range r.hists() {
-			reg.Histogram(h)
-		}
 	}
 	return r
 }
 
 // hists lists the instruments' histograms in a fixed export order.
 func (r *runRecorder) hists() []*obs.Histogram {
-	return []*obs.Histogram{r.margin, r.drain.H(), r.latency.H(), r.slack}
+	return []*obs.Histogram{r.margin, r.drain, r.latency, r.slack}
 }
 
 // obsLane returns the tracer process id for one processor's timeline and
@@ -215,7 +204,7 @@ func (r *runRecorder) checkpointMiss(k int, atCyc, resumeCyc int64, simpleMode b
 	if r == nil {
 		return
 	}
-	r.drain.Observe(atCyc, resumeCyc)
+	r.drain.ObserveInt(resumeCyc - atCyc)
 	missNs := r.nsAt(atCyc)
 	r.specNs = missNs - r.baseNs
 	r.switched, r.switchAt, r.switchStart = true, atCyc, resumeCyc
@@ -304,7 +293,7 @@ func (r *runRecorder) instanceDone(res taskResult, usedNs, deadlineNs float64, r
 			obs.A("slack_ns", slackNs))
 		r.tr.Counter(r.pid, "deadline slack (ns)", r.baseNs+usedNs, obs.A("ns", slackNs))
 	}
-	r.latency.Observe(0, res.endCycles)
+	r.latency.ObserveInt(res.endCycles)
 	r.slack.Observe(slackNs)
 	r.cs.Add(r.kInstances, 1)
 	if res.missed {
@@ -329,19 +318,5 @@ func (r *runRecorder) finish() {
 			obs.F("bench", r.bench),
 			obs.F("proc", r.proc),
 		))
-	}
-}
-
-// registerObs wires the processor's structures into the counter registry
-// under prefix: caches, memory bus, and the active pipeline (complex cores
-// include their simple-mode engine).
-func (ps *procSim) registerObs(reg *obs.Registry, prefix string) {
-	ps.ic.RegisterObs(reg, prefix+".icache")
-	ps.dc.RegisterObs(reg, prefix+".dcache")
-	ps.bus.RegisterObs(reg, prefix+".bus")
-	if ps.cx != nil {
-		ps.cx.RegisterObs(reg, prefix+".pipe")
-	} else {
-		ps.sp.RegisterObs(reg, prefix+".pipe")
 	}
 }

@@ -12,15 +12,14 @@ import (
 )
 
 // fullSink builds a sink with every surface backed by in-memory buffers:
-// tracer, metrics writer with its coalescing counter sink, and registry.
+// tracer, and metrics writer with its coalescing counter sink.
 func fullSink() (*obs.Sink, *bytes.Buffer) {
 	var metrics bytes.Buffer
-	mw := obs.NewMetricsWriter(&metrics, obs.FormatJSONL)
+	mw := obs.NewMetricsWriter(&metrics)
 	return &obs.Sink{
 		Trace:    obs.NewTracer(),
 		Metrics:  mw,
 		Counters: obs.NewCoalescingSink(mw, obs.CoalesceOptions{}),
-		Registry: obs.NewRegistry(),
 	}, &metrics
 }
 
@@ -180,7 +179,7 @@ func TestInstanceRecordsReconcile(t *testing.T) {
 // sub-tasks.
 func TestTable3Records(t *testing.T) {
 	var metrics bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&metrics)}
 	rep, err := (&Engine{Workers: 1, Sink: sink}).Run(Table3Plan(clab.All()))
 	if err != nil {
 		t.Fatal(err)
@@ -288,51 +287,5 @@ func TestTraceEventVocabulary(t *testing.T) {
 	// Both processors × 25 instances, one task slice each.
 	if seen["task"] != 2*25 {
 		t.Errorf("task slices = %d, want 50", seen["task"])
-	}
-}
-
-// TestRegistryCoversSubsystems: after an instrumented run the counter
-// registry must expose cache, bus, pipeline, and power series for both
-// processors, and the cache counters must be non-trivial.
-func TestRegistryCoversSubsystems(t *testing.T) {
-	sink, _ := fullSink()
-	_, err := RunComparison(clab.ByName("cnt"), Config{
-		Tight: true, Instances: 10, Obs: sink, Label: "reg",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := sink.Registry.Snapshot()
-	byName := map[string]obs.Sample{}
-	for _, s := range snap {
-		byName[s.Name] = s
-	}
-	for _, name := range []string{
-		"reg.cnt.complex.icache.accesses",
-		"reg.cnt.complex.dcache.misses",
-		"reg.cnt.complex.bus.requests",
-		"reg.cnt.complex.pipe.retired",
-		"reg.cnt.complex.pipe.rob_stalls",
-		"reg.cnt.complex.pipe.branch_mispredicts",
-		"reg.cnt.complex.power.energy.total",
-		"reg.cnt.simple-fixed.icache.accesses",
-		"reg.cnt.simple-fixed.pipe.retired",
-		"reg.cnt.simple-fixed.power.energy.total",
-	} {
-		if _, ok := byName[name]; !ok {
-			t.Errorf("registry missing %q (have %d series)", name, len(snap))
-		}
-	}
-	if byName["reg.cnt.complex.icache.accesses"].Int() == 0 {
-		t.Error("complex icache access counter stayed zero across a run")
-	}
-	if byName["reg.cnt.complex.power.energy.total"].Value <= 0 {
-		t.Error("energy gauge not positive")
-	}
-	// Snapshot must be sorted (deterministic export order).
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name > snap[i].Name {
-			t.Fatalf("snapshot unsorted at %d: %q > %q", i, snap[i-1].Name, snap[i].Name)
-		}
 	}
 }

@@ -241,22 +241,17 @@ func (s *Setup) WCETSeedPETs() []float64 {
 type profileResult struct {
 	totalCycles int64
 	dMisses     []int64
-	subCycles   []int64
 }
 
-// profile runs one task instance on the recorded input and collects
-// per-sub-task cycles and D-cache misses.
+// profile runs one task instance on the recorded input and collects its
+// cycles and per-sub-task D-cache misses.
 func (ps *procSim) profile() (*profileResult, error) {
 	if err := ps.start(0); err != nil {
 		return nil, err
 	}
 	nSub := ps.prog.NumSubTasks()
-	res := &profileResult{
-		dMisses:   make([]int64, maxInt(nSub, 1)),
-		subCycles: make([]int64, maxInt(nSub, 1)),
-	}
+	res := &profileResult{dMisses: make([]int64, maxInt(nSub, 1))}
 	cur := -1
-	var lastBoundary int64
 	var lastDC cache.Stats
 	var batch [64]exec.DynInst
 	for {
@@ -264,13 +259,10 @@ func (ps *procSim) profile() (*profileResult, error) {
 		for bi := range batch[:n] {
 			d := &batch[bi]
 			if d.Inst.Op == isa.MARK {
-				now := ps.now()
 				if cur >= 0 {
-					res.subCycles[cur] = now - lastBoundary
 					res.dMisses[cur] = ps.dc.Stats().Delta(lastDC).Misses
 				}
 				cur = int(d.Inst.Imm)
-				lastBoundary = now
 				lastDC = ps.dc.Stats()
 			}
 			ps.feed(d)
@@ -283,7 +275,6 @@ func (ps *procSim) profile() (*profileResult, error) {
 		}
 	}
 	if cur >= 0 {
-		res.subCycles[cur] = ps.now() - lastBoundary
 		res.dMisses[cur] = ps.dc.Stats().Delta(lastDC).Misses
 	}
 	res.totalCycles = ps.now()
@@ -331,12 +322,12 @@ type Config struct {
 	// per-job timeout in the simulated-time domain for runaway simulations.
 	CycleBudget int64
 
-	// Obs attaches the instrumentation sink (tracer, metrics writer,
-	// counter registry). A nil sink — the default — disables all three
-	// surfaces at no cost. A sink with metrics must also carry the
-	// coalescing counter sink the run's counters flow through (the engine
-	// builds both per job). Label prefixes this run's trace lanes, metric
-	// records, and counter names so one sink can host many experiments.
+	// Obs attaches the instrumentation sink (tracer, metrics writer). A
+	// nil sink — the default — disables both surfaces at no cost. A sink
+	// with metrics must also carry the coalescing counter sink the run's
+	// counters flow through (the engine builds both per job). Label
+	// prefixes this run's trace lanes, metric records, and counter names
+	// so one sink can host many experiments.
 	Obs   *obs.Sink
 	Label string
 }
@@ -348,6 +339,10 @@ type Config struct {
 func (c Config) Validate() error {
 	if !c.Policy.Valid() {
 		return invalidf("config: unknown PETPolicy (%d)", int(c.Policy))
+	}
+	// The negated form also rejects NaN.
+	if !(c.HistogramMiss >= 0 && c.HistogramMiss <= 1) {
+		return invalidf("config: HistogramMiss %g outside [0, 1]", c.HistogramMiss)
 	}
 	if c.Instances < 0 {
 		return invalidf("config: negative Instances (%d)", c.Instances)
@@ -380,7 +375,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// obsPrefix builds the counter-registry prefix for one processor's run.
+// obsPrefix builds the counter and instrument name prefix for one
+// processor's run.
 func (c Config) obsPrefix(bench, proc string) string {
 	p := bench + "." + proc
 	if c.Label != "" {

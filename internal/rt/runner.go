@@ -358,7 +358,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		ps.attachInjector(inj)
 	}
 
-	rec := newRunRecorder(cfg, s.Bench.Name, ps, acct)
+	rec := newRunRecorder(cfg, s.Bench.Name, ps)
 
 	n := cfg.instances()
 	// Misprediction injection starts once the PET estimator has warmed up:

@@ -14,7 +14,7 @@ import (
 func runCampaign(t testing.TB, benches []*clab.Benchmark, c SafetyCampaign, workers int) (*Report, string) {
 	t.Helper()
 	var buf bytes.Buffer
-	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf, obs.FormatJSONL)}
+	sink := &obs.Sink{Metrics: obs.NewMetricsWriter(&buf)}
 	rep, err := (&Engine{Workers: workers, Sink: sink}).Run(SafetyCampaignPlan(benches, c))
 	if err != nil {
 		t.Fatal(err)

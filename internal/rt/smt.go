@@ -189,12 +189,12 @@ func RunSMT(s *Setup, cfg Config, bgProg *isa.Program) (*SMTResult, error) {
 	base := newProcSim(s.Prog, ProcComplex, fs.FMHz)
 	bgBase := newBGThread(bgProg)
 	for i := 0; i < n; i++ {
-		base.machine.Reset()
-		base.cx.Rebase(0)
-		if _, err := base.profileNoReset(); err != nil {
+		base.rebase(0)
+		prof, err := base.profile()
+		if err != nil {
 			return nil, err
 		}
-		slackCycles := deadlineCycles - base.cx.Now()
+		slackCycles := deadlineCycles - prof.totalCycles
 		if slackCycles <= 0 {
 			continue
 		}
@@ -216,21 +216,4 @@ func RunSMT(s *Setup, cfg Config, bgProg *isa.Program) (*SMTResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// profileNoReset feeds the already-reset machine through the pipeline
-// without resetting architectural state (helper for RunSMT's baseline).
-//
-//visa:hotpath
-func (ps *procSim) profileNoReset() (int64, error) {
-	for {
-		d, ok, err := ps.machine.Step()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return ps.cx.Now(), nil
-		}
-		ps.feed(&d)
-	}
 }

@@ -113,10 +113,11 @@ func TestSMTThreadIsolation(t *testing.T) {
 	// well under 2x — catastrophic growth would indicate cross-thread
 	// dependence leakage.
 	alone := newProcSim(s.Prog, ProcComplex, 1000)
-	aloneCycles, err := alone.profileNoReset()
+	prof, err := alone.profile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	aloneCycles := prof.totalCycles
 
 	smt := newProcSim(s.Prog, ProcComplex, 1000)
 	bg := newBGThread(smtBackground(t))

@@ -217,7 +217,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	samples := s.reg.Snapshot()
 	out := make([]MetricSample, len(samples))
 	for i, smp := range samples {
-		out[i] = MetricSample{Name: smp.Name, Value: smp.Value}
+		out[i] = MetricSample{Name: smp.Name, Value: float64(smp.Value)}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

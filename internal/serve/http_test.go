@@ -127,6 +127,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		"not json":      "{",
 		"unknown field": `{"version":1,"kind":"table3","typo":1}`,
 		"bad spec":      `{"version":9,"kind":"table3"}`,
+		"histogram miss out of range": `{"version":1,"kind":"custom","name":"h","jobs":[` +
+			`{"version":1,"bench":"cnt","config":{"policy":"histogram","histogram_miss":-3}}]}`,
 	} {
 		resp, _ := submit(t, ts, "alice", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -532,7 +532,7 @@ func (s *Server) finish(j *jobState, e JournalEntry) {
 func jobEvents(i int, recs []obs.Record, err error) []Event {
 	evs := make([]Event, 0, len(recs)+1)
 	var buf bytes.Buffer
-	mw := obs.NewMetricsWriter(&buf, obs.FormatJSONL)
+	mw := obs.NewMetricsWriter(&buf)
 	for _, rec := range recs {
 		buf.Reset()
 		mw.Write(rec)
