@@ -125,12 +125,13 @@ func main() {
 		fatal(fmt.Errorf("-trace supports a single benchmark (the trace is one shared timeline)"))
 	}
 
-	// The engine replays each job's records into sink in plan order, and
-	// runs serially when a tracer is attached.
-	sink := &obs.Sink{}
+	// The engine replays each job's records into sink in plan order. The
+	// tracer is captured by the job closure: -trace runs exactly one job.
+	var tr *obs.Tracer
 	if *tracePath != "" {
-		sink.Trace = obs.NewTracer()
+		tr = obs.NewTracer()
 	}
+	sink := &obs.Sink{}
 	var mf *os.File
 	if *metricsPath != "" {
 		mf, err = os.Create(*metricsPath)
@@ -153,7 +154,7 @@ func main() {
 	}}
 	for _, prog := range progs {
 		run := func(s *obs.Sink) (rt.JobResult, error) {
-			text, err := runSim(prog, proc, *mhz, *runs, spec, s.T(), s.M())
+			text, err := runSim(prog, proc, *mhz, *runs, spec, tr, s.M())
 			return rt.JobResult{Custom: text}, err
 		}
 		plan.Jobs = append(plan.Jobs, rt.Job{Bench: clab.ByName(prog.Name), Run: run})
@@ -167,7 +168,7 @@ func main() {
 		fatal(err)
 	}
 
-	if tr := sink.Trace; tr != nil {
+	if tr != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fatal(err)

@@ -102,8 +102,38 @@ func TestBenchAllGolden(t *testing.T) {
 	}
 }
 
-// TestExitCodes: an unknown benchmark is a load failure (1); naming no
-// program is a usage error (2).
+// TestTraceGolden pins the -trace file of one fault-injected benchmark and
+// the run's stdout, whose only addition is the trailing line naming the
+// trace file.
+func TestTraceGolden(t *testing.T) {
+	bin := buildVisasim(t)
+	wantOut, err := os.ReadFile("testdata/fft_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrace, err := os.ReadFile("testdata/fft_trace.json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.json")
+	out, code := run(t, bin, "-bench", "fft", "-proc", "simple", "-runs", "2",
+		"-inject", "mem-jitter:500:64:3", "-trace", path)
+	want := string(wantOut) + "trace: 27 events -> " + path + " (load at ui.perfetto.dev)\n"
+	if code != 0 || string(out) != want {
+		t.Fatalf("-trace: exit %d, stdout differs from golden:\n%s", code, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantTrace) {
+		t.Error("trace file differs from golden")
+	}
+}
+
+// TestExitCodes: an unknown benchmark is a load failure (1), and so is
+// -trace over more than one benchmark; naming no program is a usage
+// error (2).
 func TestExitCodes(t *testing.T) {
 	bin := buildVisasim(t)
 	for _, c := range []struct {
@@ -113,6 +143,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-bench", "nope"}, 1},
 		{[]string{"-bench", "fft,nope"}, 1},
 		{[]string{"-conform", "-bench", "nope"}, 1},
+		{[]string{"-bench", "fft,cnt", "-trace", filepath.Join(t.TempDir(), "x")}, 1},
 		{nil, 2},
 		{[]string{"-plan", "spec.json"}, 2},
 	} {

@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkNilTracer measures the disabled path: a traced call site through
-// a nil *Tracer. This is the entire per-event cost the run-time harness
-// pays with tracing off (the pipelines' per-instruction paths carry no obs
-// calls at all — counters are sampled lazily at snapshot time).
+// a nil *Tracer. This is the entire per-event cost visasim's simulation
+// loop pays with -trace off (the pipelines' per-instruction paths carry no
+// obs calls at all — counters are sampled lazily at snapshot time).
 func BenchmarkNilTracer(b *testing.B) {
 	var tr *Tracer
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,9 @@
 // Package obs is the unified instrumentation layer: a hierarchical
-// counter registry, a structured event tracer with a Chrome trace-event
-// (catapult) exporter, and a JSONL metrics writer. Both pipelines, the
-// cache hierarchy, the memory system, and the VISA run-time harness report
-// through it.
+// counter registry, a JSONL metrics writer with the coalescing counter sink
+// and fixed-boundary histograms that feed it, and a structured event tracer
+// with a Chrome trace-event (catapult) exporter. The VISA run-time harness
+// reports through the metrics stream (obs.Sink); `visasim -trace` and the
+// repo benchmark's span file are the tracer's callers.
 //
 // Two properties govern the design:
 //
@@ -14,10 +15,10 @@
 //     AllocsPerRun tests and the hotalloc analyzer keep the disabled path
 //     allocation-free.
 //
-//   - Deterministic output. Timestamps come from simulated time only (never
-//     the wall clock), snapshot order is sorted, and the exporters emit
-//     byte-identical streams for identical runs — the simulator's
-//     reproducibility guarantee extends to its telemetry.
+//   - Deterministic output. Simulator timestamps come from simulated time
+//     only (never the wall clock), snapshot order is sorted, and the
+//     exporters emit byte-identical streams for identical runs — the
+//     simulator's reproducibility guarantee extends to its telemetry.
 package obs
 
 import "sort"
@@ -76,12 +77,11 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Sink bundles the instrumentation surfaces a run can attach: a tracer
-// and a metrics stream. A nil *Sink (or any nil member) disables that
-// surface; the accessors are nil-safe so call sites read cfg.Obs.T()
-// without guards.
+// Sink is the instrumentation surface a run can attach: a metrics stream
+// and the coalescing counter sink in front of it. A nil *Sink (or a nil
+// member) disables metrics; the accessors are nil-safe so call sites read
+// cfg.Obs.M() without guards.
 type Sink struct {
-	Trace   *Tracer
 	Metrics *MetricsWriter
 
 	// Counters is the only path counter traffic takes into Metrics (VSA
@@ -90,14 +90,6 @@ type Sink struct {
 	// series), never one durable record per event. A sink with Metrics
 	// carries one; rt.Engine builds the pair per job.
 	Counters *CoalescingSink
-}
-
-// T returns the tracer (nil when tracing is off).
-func (s *Sink) T() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.Trace
 }
 
 // M returns the metrics writer (nil when metrics are off).

@@ -11,17 +11,14 @@ import (
 // receivers — the disabled path of the whole instrumentation layer.
 func TestNilSinkNoOps(t *testing.T) {
 	var sink *Sink
-	tr, mw, cs := sink.T(), sink.M(), sink.C()
-	if tr != nil || mw != nil || cs != nil {
+	mw, cs := sink.M(), sink.C()
+	if mw != nil || cs != nil {
 		t.Fatal("nil sink must hand out nil surfaces")
 	}
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
-	}
+	var tr *Tracer
 	pid := tr.Pid("p")
 	tr.ThreadName(pid, 0, "t")
 	tr.Complete(pid, 0, "c", "n", 0, 1)
-	tr.Instant(pid, 0, "c", "n", 0)
 	tr.Counter(pid, "n", 0, A("v", 1))
 	if tr.Len() != 0 {
 		t.Error("nil tracer recorded events")
@@ -79,7 +76,6 @@ func TestChromeTraceShape(t *testing.T) {
 	pid := tr.Pid("cnt/complex")
 	tr.ThreadName(pid, 1, "sub-tasks")
 	tr.Complete(pid, 1, "subtask", "sub-task 0", 1000, 500, A("k", 0))
-	tr.Instant(pid, 2, "visa", "checkpoint-miss", 1500, A("sub_task", 3))
 	tr.Counter(pid, "watchdog", 1500, A("margin_cycles", 42))
 
 	var buf bytes.Buffer
@@ -92,9 +88,9 @@ func TestChromeTraceShape(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
-	// process_name metadata + 2 named metadata-free events + counter + thread_name.
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("got %d events, want 5", len(doc.TraceEvents))
+	// process_name + thread_name metadata, one complete event, one counter.
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
 	byPh := map[string]int{}
 	for _, e := range doc.TraceEvents {
@@ -104,7 +100,7 @@ func TestChromeTraceShape(t *testing.T) {
 			t.Errorf("event %v missing pid", e)
 		}
 	}
-	if byPh["M"] != 2 || byPh["X"] != 1 || byPh["i"] != 1 || byPh["C"] != 1 {
+	if byPh["M"] != 2 || byPh["X"] != 1 || byPh["C"] != 1 {
 		t.Errorf("phase counts = %v", byPh)
 	}
 	// ts is microseconds: the 1000 ns complete event starts at ts=1.

@@ -20,7 +20,7 @@ func A(key string, val any) Arg { return Arg{Key: key, Val: val} }
 type event struct {
 	name  string
 	cat   string
-	ph    byte // X=complete, i=instant, C=counter, M=metadata
+	ph    byte // X=complete, C=counter, M=metadata
 	tsNs  float64
 	durNs float64
 	pid   int
@@ -44,9 +44,6 @@ type Tracer struct {
 func NewTracer() *Tracer {
 	return &Tracer{pids: map[string]int{}, threads: map[[2]int]bool{}, nextPid: 1}
 }
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Len returns the number of recorded events (metadata included).
 func (t *Tracer) Len() int {
@@ -97,16 +94,6 @@ func (t *Tracer) Complete(pid, tid int, cat, name string, tsNs, durNs float64, a
 	t.events = append(t.events, event{
 		name: name, cat: cat, ph: 'X', tsNs: tsNs, durNs: durNs,
 		pid: pid, tid: tid, args: args,
-	})
-}
-
-// Instant records a point event at tsNs (thread scope).
-func (t *Tracer) Instant(pid, tid int, cat, name string, tsNs float64, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, event{
-		name: name, cat: cat, ph: 'i', tsNs: tsNs, pid: pid, tid: tid, args: args,
 	})
 }
 
@@ -161,9 +148,6 @@ func (e *event) write(w io.Writer) error {
 	}
 	if e.ph == 'X' {
 		m["dur"] = e.durNs / 1000
-	}
-	if e.ph == 'i' {
-		m["s"] = "t"
 	}
 	if len(e.args) > 0 {
 		args := make(map[string]any, len(e.args))

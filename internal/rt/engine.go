@@ -36,9 +36,7 @@ type Engine struct {
 	// Workers is the pool size; <= 0 selects runtime.NumCPU().
 	Workers int
 
-	// Sink receives the merged metrics stream. Attaching a Tracer forces
-	// serial execution: its timeline is shared mutable state that only an
-	// in-order run keeps deterministic.
+	// Sink receives the merged metrics stream (nil: instrumentation off).
 	Sink *obs.Sink
 
 	// CycleBudget, when > 0, is applied as Config.CycleBudget to every
@@ -73,7 +71,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	copy(jobs, p.Jobs)
 	// Validate against a sink shaped like the per-job sinks the engine
 	// injects at run time.
-	shape := e.jobSink(false)
+	shape := e.jobSink()
 	for i := range jobs {
 		if jobs[i].Run != nil {
 			continue // custom jobs own their inputs
@@ -94,9 +92,6 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if e.sink().T() != nil {
-		workers = 1
-	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -115,7 +110,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], bufs[i], errs[i] = e.runOnce(jobs[i], workers == 1)
+				results[i], bufs[i], errs[i] = e.runOnce(jobs[i])
 				if e.OnJobDone != nil {
 					e.OnJobDone(i, results[i], bufs[i].Records(), errs[i])
 				}
@@ -131,7 +126,7 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 	// Deterministic merge: replay every job's records in plan order. A
 	// failed job contributes whatever it wrote before failing, and the
 	// jobs after it still contribute in full (graceful degradation).
-	mw := e.sink().M()
+	mw := e.Sink.M()
 	failed := 0
 	for i := range jobs {
 		bufs[i].Replay(mw)
@@ -152,8 +147,8 @@ func (e *Engine) Run(p *Plan) (*Report, error) {
 
 // runOnce executes one job under the panic barrier on a fresh per-job
 // sink, then flushes the job's counters into its record buffer.
-func (e *Engine) runOnce(job Job, serial bool) (JobResult, *obs.MetricsWriter, error) {
-	sink := e.jobSink(serial)
+func (e *Engine) runOnce(job Job) (JobResult, *obs.MetricsWriter, error) {
+	sink := e.jobSink()
 	res, err := safeRun(job, sink)
 	if cerr := sink.C().Close(); cerr != nil && err == nil {
 		err = cerr
@@ -163,16 +158,12 @@ func (e *Engine) runOnce(job Job, serial bool) (JobResult, *obs.MetricsWriter, e
 
 // jobSink builds one job's private sink. With metrics on, it carries a
 // fresh record buffer and a coalescing counter sink over it (closed at job
-// end, which flushes every dirty series). Serial runs also share the
-// engine's tracer directly: jobs arrive in order.
-func (e *Engine) jobSink(serial bool) *obs.Sink {
+// end, which flushes every dirty series).
+func (e *Engine) jobSink() *obs.Sink {
 	sink := &obs.Sink{}
-	if e.sink().M() != nil {
+	if e.Sink.M() != nil {
 		sink.Metrics = obs.NewRecordBuffer()
 		sink.Counters = obs.NewCoalescingSink(sink.Metrics, obs.CoalesceOptions{})
-	}
-	if serial {
-		sink.Trace = e.sink().T()
 	}
 	return sink
 }
@@ -221,9 +212,6 @@ func failureSection(p *Plan, errs []error, failed int) string {
 	}
 	return b.String()
 }
-
-// sink returns the engine's sink, which may be nil (instrumentation off).
-func (e *Engine) sink() *obs.Sink { return e.Sink }
 
 // runJob executes one job against the given (per-job) sink.
 func runJob(job Job, sink *obs.Sink) (JobResult, error) {

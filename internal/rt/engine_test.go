@@ -82,27 +82,6 @@ func TestEngineDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineSharedSinkSerializes: a Tracer on the engine sink is shared
-// mutable state, so the engine must fall back to serial execution — and
-// still deliver trace events.
-func TestEngineSharedSinkSerializes(t *testing.T) {
-	sink := &obs.Sink{Trace: obs.NewTracer()}
-	rep, err := (&Engine{Workers: 8, Sink: sink}).Run(
-		Figure4Plan([]*clab.Benchmark{clab.ByName("cnt")}, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.SavingsRows()) != 4 {
-		t.Errorf("%d rows, want 4", len(rep.SavingsRows()))
-	}
-	if sink.Trace.Len() == 0 {
-		t.Error("no trace events from serialized instrumented run")
-	}
-}
-
 // TestConfigValidate covers each rejection Validate promises, plus the
 // valid shapes closest to each boundary.
 func TestConfigValidate(t *testing.T) {
@@ -122,6 +101,10 @@ func TestConfigValidate(t *testing.T) {
 		{"freq advantage below one", Config{FreqAdvantage: 0.5}, false},
 		{"freq advantage unset", Config{FreqAdvantage: 0}, true},
 		{"freq advantage one", Config{FreqAdvantage: 1}, true},
+		{"freq advantage 1.5", Config{FreqAdvantage: 1.5}, true},
+		{"freq advantage NaN", Config{FreqAdvantage: math.NaN()}, false},
+		{"freq advantage +Inf", Config{FreqAdvantage: math.Inf(1)}, false},
+		{"freq advantage overflows clock", Config{FreqAdvantage: 1e300}, false},
 		{"metrics without label", Config{Obs: metricsSink}, false},
 		{"metrics with label", Config{Obs: metricsSink, Label: "x"}, true},
 		{"metrics without counter sink", Config{Obs: &obs.Sink{Metrics: buf}, Label: "x"}, false},

@@ -4,20 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"visa/internal/clab"
 	"visa/internal/obs"
 )
 
-// fullSink builds a sink with every surface backed by in-memory buffers:
-// tracer, and metrics writer with its coalescing counter sink.
+// fullSink builds a sink backed by an in-memory buffer: a metrics writer
+// with its coalescing counter sink.
 func fullSink() (*obs.Sink, *bytes.Buffer) {
 	var metrics bytes.Buffer
 	mw := obs.NewMetricsWriter(&metrics)
 	return &obs.Sink{
-		Trace:    obs.NewTracer(),
 		Metrics:  mw,
 		Counters: obs.NewCoalescingSink(mw, obs.CoalesceOptions{}),
 	}, &metrics
@@ -55,11 +53,11 @@ func decodeJSONL(t *testing.T, b []byte) []map[string]any {
 }
 
 // TestObsDeterminism: running the same experiment twice with fresh sinks
-// must produce byte-identical metrics and trace output — the simulator's
+// must produce byte-identical metrics output — the simulator's
 // reproducibility guarantee extends to its telemetry. The flush injection
-// exercises the full event vocabulary (checkpoint misses, mode switches).
+// exercises checkpoint misses and mode switches.
 func TestObsDeterminism(t *testing.T) {
-	run := func() (string, string) {
+	run := func() string {
 		sink, metrics := fullSink()
 		_, err := RunComparison(clab.ByName("cnt"), Config{
 			Tight: true, Instances: 25, FlushTasks: 7,
@@ -68,25 +66,14 @@ func TestObsDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace bytes.Buffer
-		if err := sink.Trace.WriteChrome(&trace); err != nil {
-			t.Fatal(err)
-		}
 		closeSink(t, sink)
-		return metrics.String(), trace.String()
+		return metrics.String()
 	}
-	m1, tr1 := run()
-	m2, tr2 := run()
+	m1, m2 := run(), run()
 	if m1 != m2 {
 		t.Error("metrics output differs between identical runs")
 	}
-	if tr1 != tr2 {
-		t.Error("trace output differs between identical runs")
-	}
-	if !json.Valid([]byte(tr1)) {
-		t.Error("trace is not valid JSON")
-	}
-	if len(m1) == 0 || len(tr1) == 0 {
+	if len(m1) == 0 {
 		t.Error("instrumented run produced empty output")
 	}
 }
@@ -221,71 +208,5 @@ func TestTable3Records(t *testing.T) {
 		if subCount[row.Name] != row.SubTasks {
 			t.Errorf("%s: %d sub-task records, want %d", row.Name, subCount[row.Name], row.SubTasks)
 		}
-	}
-}
-
-// TestTraceEventVocabulary: with misprediction injection the trace must show
-// the whole VISA protocol — sub-task slices, checkpoint passes, checkpoint
-// misses with EQ4 mode switches, recovery spans, and watchdog counters — and
-// every complete event must have non-negative duration.
-func TestTraceEventVocabulary(t *testing.T) {
-	sink, _ := fullSink()
-	_, err := RunComparison(clab.ByName("cnt"), Config{
-		Tight: true, Instances: 25, FlushTasks: 7,
-		Obs: sink, Label: "vocab",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sink.Trace.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	seen := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" && e.Dur < 0 {
-			t.Errorf("negative duration on %q", e.Name)
-		}
-		if e.Ts < 0 {
-			t.Errorf("negative timestamp on %q", e.Name)
-		}
-		switch {
-		case e.Name == "task instance":
-			seen["task"]++
-		case strings.HasPrefix(e.Name, "sub-task "):
-			seen["subtask"]++
-		case strings.HasPrefix(e.Name, "checkpoint ") && strings.HasSuffix(e.Name, "pass"):
-			seen["pass"]++
-		case e.Name == "checkpoint miss":
-			seen["miss"]++
-		case e.Name == "mode-switch (simple)":
-			seen["modeswitch"]++
-		case e.Name == "recovery (simple mode)":
-			seen["recovery"]++
-		case e.Name == "watchdog margin":
-			seen["watchdog"]++
-		case e.Name == "cache+predictor flush":
-			seen["flush"]++
-		}
-	}
-	for _, want := range []string{"task", "subtask", "pass", "miss", "modeswitch", "recovery", "watchdog", "flush"} {
-		if seen[want] == 0 {
-			t.Errorf("trace has no %q events (got %v)", want, seen)
-		}
-	}
-	// Both processors × 25 instances, one task slice each.
-	if seen["task"] != 2*25 {
-		t.Errorf("task slices = %d, want 50", seen["task"])
 	}
 }

@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"visa/internal/fault"
-	"visa/internal/obs"
-)
+import "visa/internal/fault"
 
 // PETPolicy enumerates the run-time PET estimation policies (§4.3): one
 // axis with named points, not a pile of flags.
@@ -72,11 +69,6 @@ func WithInstances(n int) Option {
 	return func(c *Config) { c.Instances = n }
 }
 
-// WithPETPolicy selects the PET estimation policy.
-func WithPETPolicy(p PETPolicy) Option {
-	return func(c *Config) { c.Policy = p }
-}
-
 // WithHistogramTarget selects the histogram policy with the given target
 // misprediction rate.
 func WithHistogramTarget(miss float64) Option {
@@ -111,13 +103,7 @@ func WithCycleBudget(cycles int64) Option {
 	return func(c *Config) { c.CycleBudget = cycles }
 }
 
-// WithObs attaches the instrumentation sink under the given label.
-func WithObs(sink *obs.Sink, label string) Option {
-	return func(c *Config) { c.Obs, c.Label = sink, label }
-}
-
-// WithLabel sets the label prefixing trace lanes, metric records, and
-// counter names.
+// WithLabel sets the label prefixing metric records and counter names.
 func WithLabel(label string) Option {
 	return func(c *Config) { c.Label = label }
 }

@@ -9,6 +9,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"visa/internal/cache"
@@ -322,11 +323,10 @@ type Config struct {
 	// per-job timeout in the simulated-time domain for runaway simulations.
 	CycleBudget int64
 
-	// Obs attaches the instrumentation sink (tracer, metrics writer). A
-	// nil sink — the default — disables both surfaces at no cost. A sink
-	// with metrics must also carry the coalescing counter sink the run's
-	// counters flow through (the engine builds both per job). Label
-	// prefixes this run's trace lanes, metric records, and counter names
+	// Obs attaches the instrumentation sink: a metrics writer and the
+	// coalescing counter sink the run's counters flow through (the engine
+	// builds both per job). A nil sink — the default — disables metrics at
+	// no cost. Label prefixes this run's metric records and counter names
 	// so one sink can host many experiments.
 	Obs   *obs.Sink
 	Label string
@@ -354,9 +354,15 @@ func (c Config) Validate() error {
 		return invalidf("config: FlushTasks (%d) exceeds Instances (%d)",
 			c.FlushTasks, c.instances())
 	}
-	if c.FreqAdvantage != 0 && c.FreqAdvantage < 1 {
-		return invalidf("config: FreqAdvantage %g < 1 would slow simple-fixed down (use 0 or >= 1)",
-			c.FreqAdvantage)
+	if adv := c.FreqAdvantage; adv != 0 {
+		// The negated form also rejects NaN. The boosted top point must
+		// fit an int32 clock, or BoostedTable's conversion overflows.
+		if !(adv >= 1) {
+			return invalidf("config: FreqAdvantage %g < 1 would slow simple-fixed down (use 0 or >= 1)", adv)
+		}
+		if !(float64(power.MaxPoint().FMHz)*adv <= math.MaxInt32) {
+			return invalidf("config: FreqAdvantage %g overflows the boosted %d MHz clock", adv, power.MaxPoint().FMHz)
+		}
 	}
 	if c.Obs.M() != nil && c.Label == "" {
 		return invalidf("config: empty Label with metrics attached (records would be unattributable)")

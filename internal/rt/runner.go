@@ -152,7 +152,7 @@ type taskResult struct {
 // armed at task start, advanced at each sub-task boundary, and on expiry the
 // processor drains, switches to the recovery frequency (and, on the complex
 // core, to simple mode), masking further checkpoint exceptions. rec (which
-// may be nil) records the protocol's events.
+// may be nil) records the protocol's metrics.
 func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, rec *runRecorder) (taskResult, error) {
 	if err := ps.start(seed); err != nil {
 		return taskResult{}, err
@@ -182,7 +182,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			ps.bus.SetFreq(fr.FMHz)
 			fs = fr
 			switched = true
-			rec.forcedSimple()
 		}
 	}
 
@@ -195,7 +194,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 		switchStart = now
 		res.missed = true
 		ps.bus.SetFreq(fr.FMHz)
-		rec.checkpointMiss(curSub, now, now, false) // EQ 2: no drain window
+		rec.checkpointMiss(now, now) // EQ 2: no drain window
 	}
 
 	// Simple-mode cycles are scaled down when reconstructing a mispredicted
@@ -219,7 +218,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			cyc = pre + post*recScale
 		}
 		res.aets[curSub] = cyc
-		rec.subTask(curSub, aetBoundary, now, cyc)
 	}
 
 	// Taking the stream in batches keeps the fused Fill loop hot and feeds
@@ -244,7 +242,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					pendingSwitch = false
 				}
 				if k >= 1 && wd.Armed() {
-					rec.checkpoint(k, now, wd.Remaining(now), plan.WatchdogAdd[k])
+					rec.checkpoint(wd.Remaining(now))
 					wd.Add(now, plan.WatchdogAdd[k])
 				}
 				curSub = k
@@ -268,11 +266,10 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					res.missed = true
 					switchStart = ps.cx.SwitchToSimple(rt)
 					ps.bus.SetFreq(fr.FMHz)
-					rec.checkpointMiss(curSub, switchAt, switchStart, true)
+					rec.checkpointMiss(switchAt, switchStart)
 				} else {
 					// PET misprediction on the explicitly-safe core: finish
 					// the sub-task at f_spec, then switch frequency.
-					rec.petMispredict(curSub, rt)
 					pendingSwitch = true
 				}
 			}
@@ -304,7 +301,6 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 			OvhdNs +
 			float64(end-switchStart)*1000/float64(fr.FMHz)
 		res.simpleNs = float64(end-switchStart) * 1000 / float64(fr.FMHz)
-		rec.recovery(end, ps.cx != nil)
 	}
 	return res, nil
 }
@@ -370,11 +366,8 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 
 	out := &ProcResult{Name: kind.String()}
 	for i := 0; i < n; i++ {
-		baseNs := float64(i) * deadline
-		rec.startInstance(i, baseNs, plan)
 		if flushAt[i] || ps.inject.FlushInstance() {
 			ps.flush()
-			rec.flush()
 		}
 		seed := int32(0)
 		if cfg.VaryInputSeeds {
@@ -410,7 +403,7 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		}
 		if injected := ps.inject.Take(); injected > 0 {
 			out.FaultsInjected += injected
-			rec.faultInjected(baseNs+res.timeNs, injected)
+			rec.faultInjected(injected)
 		}
 		replanned := est.RecordRun(res.aets)
 		if replanned {
@@ -430,7 +423,6 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 			}
 			acct.AddSegment(dvs, plan.Spec.Volts)
 			usedNs += DVSSoftwareCycles * 1000 / float64(plan.Spec.FMHz)
-			rec.replanned(baseNs+usedNs, plan)
 		}
 		// Idle to the deadline at the lowest setting (§5.2).
 		idleNs := deadline - usedNs

@@ -131,7 +131,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		s.rejectedSpec.Add(1)
+		s.count(keyRejectedSpec)
 		writeError(w, fmt.Errorf("%w: %s", rt.ErrInvalidSpec, err))
 		return
 	}

@@ -129,6 +129,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		"bad spec":      `{"version":9,"kind":"table3"}`,
 		"histogram miss out of range": `{"version":1,"kind":"custom","name":"h","jobs":[` +
 			`{"version":1,"bench":"cnt","config":{"policy":"histogram","histogram_miss":-3}}]}`,
+		"freq advantage overflows": `{"version":1,"kind":"custom","name":"f","jobs":[` +
+			`{"version":1,"bench":"cnt","config":{"freq_advantage":1e300,"instances":3,"label":"p"}}]}`,
 	} {
 		resp, _ := submit(t, ts, "alice", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -309,11 +312,17 @@ func TestCountersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Invalid specs bump the rejected_spec counter (pure-rate: no per-event
-	// journal record, only coalesced flushes).
+	// Invalid specs and malformed bodies both bump the rejected_spec
+	// counter (pure-rate: no per-event journal record, only coalesced
+	// flushes).
 	for i := 0; i < 3; i++ {
 		if _, err := s1.Submit("alice", rt.PlanSpec{Version: 99}); !errors.Is(err, rt.ErrInvalidSpec) {
 			t.Fatalf("bad spec err = %v", err)
+		}
+		w := httptest.NewRecorder()
+		s1.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader("{not json")))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("malformed body: status %d, want 400", w.Code)
 		}
 	}
 	waitDone(t, s1.job(id))
@@ -336,13 +345,13 @@ func TestCountersSurviveRestart(t *testing.T) {
 	if got := s2.completed.Load(); got != 1 {
 		t.Errorf("completed = %d, want 1", got)
 	}
-	if got := s2.rejectedSpec.Load(); got != 3 {
-		t.Errorf("rejected_spec = %d, want 3", got)
+	if got := s2.rejectedSpec.Load(); got != 6 {
+		t.Errorf("rejected_spec = %d, want 6", got)
 	}
 	// And the durable sink is seeded, so future flush totals continue
 	// cumulatively rather than restarting from zero.
-	if got := s2.jl.counters.Baseline(keyRejectedSpec); got != 3 {
-		t.Errorf("seeded baseline = %d, want 3", got)
+	if got := s2.jl.counters.Baseline(keyRejectedSpec); got != 6 {
+		t.Errorf("seeded baseline = %d, want 6", got)
 	}
 }
 
