@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench tier-all vet fmt-check test bench-record bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench tier-all vet fmt-check test bench-record bench-diff clean
 
 all: build
 
@@ -49,13 +49,6 @@ tier-lint:
 	$(GO) test ./internal/lint/...
 	$(GO) run ./cmd/visavet ./...
 
-# Tier obs: the coalescing-sink scaling benchmarks, run for 100 iterations
-# to report ns/op and allocs/op. They assert nothing; the allocation gate
-# is TestCoalescingSinkAddAllocs in tier1, which also runs the obs, rt and
-# cmd/experiments test suites behind the observability layer.
-tier-obs:
-	$(GO) test -run '^$$' -bench 'Coalescing|PerEventRecordWrite' -benchtime 100x -benchmem ./internal/obs/
-
 # Tier durable: the crash-safety gate — the write-ahead journal package
 # (torn-tail sweep, corruption rejection, fuzz seeds, alloc-free append)
 # and the whole serve package (recovery suite with the crash-prefix
@@ -78,7 +71,7 @@ tier-bench:
 	cd bench && $(GO) test ./...
 
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-obs tier-durable tier-bench
+tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench
 
 # Writes BENCH_$(N).json, a new committed performance record: the result
 # line of every bench/run.sh run it takes (each BENCHMARK.json workload at

@@ -63,7 +63,6 @@ import (
 	"visa/internal/cache"
 	"visa/internal/clab"
 	"visa/internal/conform"
-	"visa/internal/fault"
 	"visa/internal/isa"
 	"visa/internal/memsys"
 	"visa/internal/obs"
@@ -139,21 +138,38 @@ func main() {
 		return
 	}
 
+	// paper builds a paper plan through its wire form, so the flags reach
+	// the same parsing and range checks as a submitted PlanSpec.
+	paper := func(spec rt.PlanSpec) {
+		spec.Version = rt.SpecVersion
+		plan, err := spec.Plan()
+		check(err)
+		run(plan, plan.Name+".jsonl")
+	}
+
 	switch *campaign {
 	case "":
 	case "safety":
 		// The campaign has its own default instance count; -n overrides it.
-		c := rt.SafetyCampaign{Seed: *seed}
+		spec := rt.PlanSpec{Kind: rt.PlanSafety, Seed: *seed}
 		if nSet {
-			c.Instances = *n
+			spec.Instances = *n
 		}
-		kinds, err := parseKinds(*faults)
-		check(err)
-		c.Kinds = kinds
-		rs, err := parseRates(*rates)
-		check(err)
-		c.Rates = rs
-		run(rt.SafetyCampaignPlan(benches, c), "safety.jsonl")
+		if *faults != "" {
+			for _, k := range strings.Split(*faults, ",") {
+				spec.Faults = append(spec.Faults, strings.TrimSpace(k))
+			}
+		}
+		if *rates != "" {
+			for _, f := range strings.Split(*rates, ",") {
+				r, err := strconv.Atoi(strings.TrimSpace(f))
+				if err != nil {
+					check(fmt.Errorf("bad rate %q: %v", f, err))
+				}
+				spec.Rates = append(spec.Rates, r)
+			}
+		}
+		paper(spec)
 		return
 	case "conform":
 		// N generated programs (its own default; -n overrides) plus every
@@ -175,49 +191,16 @@ func main() {
 		printSpec()
 	}
 	if *t3 || *all {
-		run(rt.Table3Plan(benches), "table3.jsonl")
+		paper(rt.PlanSpec{Kind: rt.PlanTable3})
 	}
-	if *f2 || *all {
-		run(rt.Figure2Plan(benches, *n), "fig2.jsonl")
-	}
-	if *f3 || *all {
-		run(rt.Figure3Plan(benches, *n), "fig3.jsonl")
-	}
-	if *f4 || *all {
-		run(rt.Figure4Plan(benches, *n), "fig4.jsonl")
-	}
-}
-
-// parseKinds parses a comma-separated fault-kind list; empty means all.
-func parseKinds(s string) ([]fault.Kind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []fault.Kind
-	for _, name := range strings.Split(s, ",") {
-		k, err := fault.ParseKind(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
+	for _, fig := range []struct {
+		on   bool
+		kind string
+	}{{*f2, rt.PlanFig2}, {*f3, rt.PlanFig3}, {*f4, rt.PlanFig4}} {
+		if fig.on || *all {
+			paper(rt.PlanSpec{Kind: fig.kind, Instances: *n})
 		}
-		out = append(out, k)
 	}
-	return out, nil
-}
-
-// parseRates parses a comma-separated rate list; empty means the default.
-func parseRates(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %v", f, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // metricsSink opens dir/name as a metrics stream, returning the sink to

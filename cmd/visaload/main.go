@@ -134,9 +134,9 @@ func loadPlan(path string) (rt.PlanSpec, error) {
 			Version: rt.SpecVersion, Kind: rt.PlanCustom, Name: "visaload",
 			Jobs: []rt.JobSpec{
 				{Version: rt.SpecVersion, Bench: "cnt",
-					Config: rt.ConfigSpec{Instances: 5, Label: "visaload/cnt"}},
+					Config: rt.Config{Instances: 5, Label: "visaload/cnt"}},
 				{Version: rt.SpecVersion, Bench: "srt",
-					Config: rt.ConfigSpec{Instances: 5, Label: "visaload/srt"}},
+					Config: rt.Config{Instances: 5, Label: "visaload/srt"}},
 			},
 		}, nil
 	}

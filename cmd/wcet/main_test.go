@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"visa/internal/clab"
+	"visa/internal/core"
+	"visa/internal/rt"
 )
 
 var (
@@ -125,6 +131,61 @@ void main() {
 	} {
 		if _, code := run(t, bin, c.args...); code != c.want {
 			t.Errorf("wcet %v: exit %d, want %d", c.args, code, c.want)
+		}
+	}
+}
+
+// TestBoundsMatchTable3: for every C-lab benchmark, the per-sub-task
+// bounds wcet prints at 1000 MHz, and the table a -bundle carries, are the
+// harness's padded WCET table (rt.GetSetup, Table 3) — one recipe, D-cache
+// pad included. The bundle check covers the programs the object format can
+// encode.
+func TestBoundsMatchTable3(t *testing.T) {
+	bin := buildWCET(t)
+	dir := t.TempDir()
+	for _, b := range clab.All() {
+		s, err := rt.GetSetup(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(s.Table.Points) - 1
+		if s.Table.Points[last].FMHz != 1000 {
+			t.Fatalf("top operating point is %d MHz, want 1000", s.Table.Points[last].FMHz)
+		}
+		out, code := run(t, bin, b.Name)
+		if code != 0 {
+			t.Fatalf("wcet %s: exit %d\n%s", b.Name, code, out)
+		}
+		var got []int64
+		for _, line := range strings.Split(string(out), "\n") {
+			var k int
+			var c int64
+			if n, _ := fmt.Sscanf(line, "  sub-task %d: %d cycles", &k, &c); n == 2 {
+				got = append(got, c)
+			}
+		}
+		if !reflect.DeepEqual(got, s.Table.Cycles[last]) {
+			t.Errorf("%s: wcet prints %v, Table 3 has %v", b.Name, got, s.Table.Cycles[last])
+		}
+
+		if _, err := core.EncodeBundle(&core.Bundle{Program: s.Prog, Table: s.Table}); err != nil {
+			t.Logf("%s: no bundle round-trip: %v", b.Name, err)
+			continue
+		}
+		path := filepath.Join(dir, b.Name+".bundle")
+		if out, code := run(t, bin, "-bundle", path, b.Name); code != 0 {
+			t.Fatalf("wcet -bundle %s: exit %d\n%s", b.Name, code, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundle, err := core.DecodeBundle(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bundle.Table, s.Table) {
+			t.Errorf("%s: bundled table differs from Table 3's", b.Name)
 		}
 	}
 }

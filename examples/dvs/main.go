@@ -26,10 +26,10 @@ func main() {
 		cfg  rt.Config
 	}
 	variants := []variant{
-		{"last-N (paper default)", rt.NewConfig(rt.WithTightDeadline(true))},
-		{"histogram, 0% target", rt.NewConfig(rt.WithTightDeadline(true), rt.WithHistogramTarget(0))},
-		{"histogram, 10% target", rt.NewConfig(rt.WithTightDeadline(true), rt.WithHistogramTarget(0.10))},
-		{"histogram, 25% target", rt.NewConfig(rt.WithTightDeadline(true), rt.WithHistogramTarget(0.25))},
+		{"last-N (paper default)", rt.Config{Tight: true}},
+		{"histogram, 0% target", rt.Config{Tight: true, Policy: rt.PETHistogram}},
+		{"histogram, 10% target", rt.Config{Tight: true, Policy: rt.PETHistogram, HistogramMiss: 0.10}},
+		{"histogram, 25% target", rt.Config{Tight: true, Policy: rt.PETHistogram, HistogramMiss: 0.25}},
 	}
 	for _, v := range variants {
 		row, err := rt.RunComparison(bench, v.cfg)

@@ -15,6 +15,7 @@ import (
 	"visa/internal/memsys"
 	"visa/internal/minic"
 	"visa/internal/ooo"
+	"visa/internal/rt"
 	"visa/internal/wcet"
 )
 
@@ -62,15 +63,17 @@ func main() {
 	fmt.Printf("compiled: %d instructions, %d sub-tasks\n", len(prog.Code), prog.NumSubTasks())
 
 	// 2. Static WCET analysis of the VISA (the hypothetical simple
-	// pipeline), per sub-task, at 1 GHz and at a candidate low frequency.
+	// pipeline), per sub-task, at every DVS operating point, padded with
+	// the D-cache misses of a cold run as the harness does.
 	an, err := wcet.New(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	table, err := core.BuildWCETTable(an)
+	setup, err := rt.NewSetup(an)
 	if err != nil {
 		log.Fatal(err)
 	}
+	table := setup.Table
 	wcet1G := table.TotalTimeNs(len(table.Points) - 1)
 	fmt.Printf("WCET on the VISA @1GHz: %.1f us\n", wcet1G/1000)
 
@@ -114,11 +117,11 @@ func main() {
 				wd.Add(cx.Now(), plan.WatchdogAdd[k])
 			}
 		}
-		rt := cx.Feed(&d)
-		if wd.Expired(rt) {
-			start := cx.SwitchToSimple(rt)
+		retired := cx.Feed(&d)
+		if wd.Expired(retired) {
+			start := cx.SwitchToSimple(retired)
 			wd.Disarm()
-			fmt.Printf("checkpoint missed at cycle %d: switched to simple mode at cycle %d\n", rt, start)
+			fmt.Printf("checkpoint missed at cycle %d: switched to simple mode at cycle %d\n", retired, start)
 		}
 	}
 	timeNs := float64(cx.Now()) * 1000 / float64(plan.Spec.FMHz)

@@ -150,6 +150,25 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s:%d:%d:%d", s.Kind, s.Rate, s.Cycles, s.Seed)
 }
 
+// MarshalText renders the spec in String form; an invalid spec does not
+// encode, so every encoding parses back.
+func (s Spec) MarshalText() ([]byte, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText parses the ParseSpec form.
+func (s *Spec) UnmarshalText(text []byte) error {
+	v, err := ParseSpec(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
+
 // ParseSpec parses "kind:rate[:cycles[:seed]]" — e.g. "branch-poison:250"
 // or "dcache-miss:100:300:7".
 func ParseSpec(str string) (Spec, error) {

@@ -31,6 +31,15 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		if err != nil || back != got {
 			t.Errorf("round trip %q -> %q -> %+v (%v)", c.in, got.String(), back, err)
 		}
+		// The text form is the same spelling.
+		text, err := got.MarshalText()
+		var fromText Spec
+		if err != nil || string(text) != got.String() || fromText.UnmarshalText([]byte(c.in)) != nil || fromText != got {
+			t.Errorf("text round trip %q -> %q -> %+v (%v)", c.in, text, fromText, err)
+		}
+	}
+	if _, err := (Spec{Kind: MemJitter, Rate: 5000}).MarshalText(); err == nil {
+		t.Error("an invalid spec encoded")
 	}
 }
 

@@ -79,7 +79,7 @@ func table3Row(b *clab.Benchmark, sink *obs.Sink) (Table3Row, error) {
 func Table3Plan(benches []*clab.Benchmark) *Plan {
 	jobs := make([]Job, len(benches))
 	for i, b := range benches {
-		jobs[i] = Job{Bench: b, Kind: JobTable3, Config: NewConfig(WithLabel("table3"))}
+		jobs[i] = Job{Bench: b, Kind: JobTable3, Config: Config{Label: "table3"}}
 	}
 	return &Plan{
 		Name: "table3",
@@ -198,12 +198,10 @@ func Figure2Plan(benches []*clab.Benchmark, instances int) *Plan {
 				tag = "L"
 			}
 			jobs = append(jobs,
-				Job{Bench: b, Config: NewConfig(
-					WithTightDeadline(tight), WithInstances(instances),
-					WithLabel("fig2/"+tag))},
-				Job{Bench: b, Config: NewConfig(
-					WithTightDeadline(tight), WithInstances(instances), WithStandby(),
-					WithLabel("fig2/"+tag+"+stby"))})
+				Job{Bench: b, Config: Config{Tight: tight, Instances: instances,
+					Label: "fig2/" + tag}},
+				Job{Bench: b, Config: Config{Tight: tight, Instances: instances, Standby: true,
+					Label: "fig2/" + tag + "+stby"}})
 		}
 	}
 	return &Plan{Name: "fig2", Jobs: jobs, Render: renderFigure2}
@@ -235,12 +233,10 @@ func Figure3Plan(benches []*clab.Benchmark, instances int) *Plan {
 	var jobs []Job
 	for _, b := range benches {
 		jobs = append(jobs,
-			Job{Bench: b, Config: NewConfig(
-				WithTightDeadline(true), WithFreqAdvantage(1.5), WithInstances(instances),
-				WithLabel("fig3"))},
-			Job{Bench: b, Config: NewConfig(
-				WithTightDeadline(true), WithFreqAdvantage(1.5), WithInstances(instances),
-				WithStandby(), WithLabel("fig3+stby"))})
+			Job{Bench: b, Config: Config{Tight: true, FreqAdvantage: 1.5, Instances: instances,
+				Label: "fig3"}},
+			Job{Bench: b, Config: Config{Tight: true, FreqAdvantage: 1.5, Instances: instances,
+				Standby: true, Label: "fig3+stby"}})
 	}
 	return &Plan{Name: "fig3", Jobs: jobs, Render: renderFigure3}
 }
@@ -276,9 +272,9 @@ func Figure4Plan(benches []*clab.Benchmark, instances int) *Plan {
 	var jobs []Job
 	for _, b := range benches {
 		for _, pct := range figure4Pcts {
-			jobs = append(jobs, Job{Bench: b, Config: NewConfig(
-				WithTightDeadline(true), WithInstances(n), WithFlushTasks(n*pct/100),
-				WithLabel(fmt.Sprintf("fig4/%d%%", pct)))})
+			jobs = append(jobs, Job{Bench: b, Config: Config{
+				Tight: true, Instances: n, FlushTasks: n * pct / 100,
+				Label: fmt.Sprintf("fig4/%d%%", pct)}})
 		}
 	}
 	return &Plan{Name: "fig4", Jobs: jobs, Render: renderFigure4}

@@ -143,6 +143,20 @@ func buildSetup(b *clab.Benchmark) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := NewSetup(an)
+	if err != nil {
+		return nil, err
+	}
+	s.Bench = b
+	return s, nil
+}
+
+// NewSetup builds the Setup of an's program (Bench stays nil). It is the
+// one recipe for a WCET table: an is padded with the per-sub-task D-cache
+// misses of a cold run on the simple pipeline at 1 GHz, then tabulated at
+// every operating point.
+func NewSetup(an *wcet.Analyzer) (*Setup, error) {
+	prog := an.Prog
 	trace, err := exec.Record(exec.New(prog))
 	if err != nil {
 		return nil, err
@@ -184,7 +198,6 @@ func buildSetup(b *clab.Benchmark) (*Setup, error) {
 	}
 
 	s := &Setup{
-		Bench:               b,
 		Prog:                prog,
 		Analyzer:            an,
 		Table:               table,
@@ -282,54 +295,62 @@ func (ps *procSim) profile() (*profileResult, error) {
 	return res, nil
 }
 
-// Config parameterizes one experiment run.
+// Config parameterizes one experiment run. It is also the wire form of a
+// job's configuration (JobSpec.Config): the JSON tags give the canonical
+// field order, every field is omitted at its zero value, and the policy and
+// fault plan encode as their text spellings. Obs does not serialize — the
+// engine owns instrumentation. The zero value is the default run.
 type Config struct {
-	Tight bool
+	// Policy selects the run-time PET estimation policy (§4.3); the zero
+	// value is PETLastN. PETHistogram targets the HistogramMiss
+	// misprediction rate.
+	Policy PETPolicy `json:"policy,omitempty"`
+
+	Tight bool `json:"tight,omitempty"`
 
 	// Standby enables the Wattch 10% standby-power variant.
-	Standby bool
+	Standby bool `json:"standby,omitempty"`
 
 	// FreqAdvantage multiplies simple-fixed's frequency at equal voltage
 	// (Figure 3 uses 1.5; 1.0 otherwise). It does not affect the complex
 	// processor.
-	FreqAdvantage float64
+	FreqAdvantage float64 `json:"freq_advantage,omitempty"`
 
 	// FlushTasks injects mispredictions: the caches and predictors are
 	// flushed at the beginning of this many of the Instances tasks, spread
 	// evenly (Figure 4 uses 20/40/60 of 200).
-	FlushTasks int
+	FlushTasks int `json:"flush_tasks,omitempty"`
 
 	// Instances overrides the default 200 when > 0 (tests use fewer).
-	Instances int
+	Instances int `json:"instances,omitempty"`
 
-	// Policy selects the run-time PET estimation policy (§4.3); the zero
-	// value is PETLastN. PETHistogram targets the HistogramMiss
-	// misprediction rate.
-	Policy        PETPolicy
-	HistogramMiss float64
+	HistogramMiss float64 `json:"histogram_miss,omitempty"`
 
-	VaryInputSeeds bool // vary the input seed per instance
+	VaryInputSeeds bool `json:"vary_input_seeds,omitempty"` // vary the input seed per instance
 
 	// Fault attaches a deterministic fault-injection plan (see
-	// internal/fault). The complex processor receives the full taxonomy;
-	// the simple pipeline only consumes the paranoid-safe kinds, which by
-	// construction cannot violate its WCET bound. Each RunProcessor call
-	// derives a fresh injector from the spec, so both processors and any
-	// worker count see the identical fault stream for a given seed.
-	Fault *fault.Spec
+	// internal/fault), spelled "kind:rate:cycles:seed" on the wire. The
+	// complex processor receives the full taxonomy; the simple pipeline
+	// only consumes the paranoid-safe kinds, which by construction cannot
+	// violate its WCET bound. Each RunProcessor call derives a fresh
+	// injector from the spec, so both processors and any worker count see
+	// the identical fault stream for a given seed.
+	Fault *fault.Spec `json:"fault,omitempty"`
 
 	// CycleBudget, when > 0, aborts any task instance whose pipeline time
 	// exceeds this many cycles with an error wrapping ErrCycleBudget — a
 	// per-job timeout in the simulated-time domain for runaway simulations.
-	CycleBudget int64
+	CycleBudget int64 `json:"cycle_budget,omitempty"`
+
+	// Label prefixes this run's metric records and counter names so one
+	// sink can host many experiments.
+	Label string `json:"label,omitempty"`
 
 	// Obs attaches the instrumentation sink: a metrics writer and the
 	// coalescing counter sink the run's counters flow through (the engine
 	// builds both per job). A nil sink — the default — disables metrics at
-	// no cost. Label prefixes this run's metric records and counter names
-	// so one sink can host many experiments.
-	Obs   *obs.Sink
-	Label string
+	// no cost.
+	Obs *obs.Sink `json:"-"`
 }
 
 // Validate rejects configurations that would otherwise silently misbehave.

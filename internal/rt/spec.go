@@ -13,9 +13,10 @@ import (
 // This file is the wire form of the Plan/Job API: versioned,
 // JSON-serializable specs with no function values, so a plan can cross a
 // network boundary (cmd/visad), live in a file (experiments -plan), or be
-// replayed byte-for-byte later. The in-process types (Plan, Job, Config)
-// stay the execution API; PlanSpec/JobSpec/ConfigSpec are their exact
-// serializable mirrors plus Validate() and materializers.
+// replayed byte-for-byte later. The in-process types (Plan, Job) stay the
+// execution API; PlanSpec/JobSpec name their benchmarks, kinds and paper
+// plans by string, plus Validate() and materializers. A job's Config is
+// its own wire form (see Config).
 //
 // Encoding is canonical: struct-driven field order, no maps, no floats that
 // JSON cannot carry — so encode(decode(x)) == x for any encoded spec x, a
@@ -49,99 +50,19 @@ func ParseJobKind(s string) (JobKind, error) {
 	return 0, invalidf("unknown job kind %q (want comparison, table3, or safety)", s)
 }
 
-// ConfigSpec is the serializable mirror of Config: every axis a remote
-// client may set, none of the in-process machinery (no Obs sink — the
-// engine owns instrumentation). The zero value is the default run.
-type ConfigSpec struct {
-	// Policy is the PET estimation policy: "last-n" (default when empty)
-	// or "histogram".
-	Policy         string  `json:"policy,omitempty"`
-	Tight          bool    `json:"tight,omitempty"`
-	Standby        bool    `json:"standby,omitempty"`
-	FreqAdvantage  float64 `json:"freq_advantage,omitempty"`
-	FlushTasks     int     `json:"flush_tasks,omitempty"`
-	Instances      int     `json:"instances,omitempty"`
-	HistogramMiss  float64 `json:"histogram_miss,omitempty"`
-	VaryInputSeeds bool    `json:"vary_input_seeds,omitempty"`
-	// Fault is a fault plan in fault.ParseSpec form
-	// ("kind:rate[:cycles[:seed]]"); empty injects nothing.
-	Fault       string `json:"fault,omitempty"`
-	CycleBudget int64  `json:"cycle_budget,omitempty"`
-	Label       string `json:"label,omitempty"`
-}
-
-// Config materializes the spec into an executable Config (Obs unset — the
-// engine injects per-job sinks). Errors wrap ErrInvalidSpec.
-func (c ConfigSpec) Config() (Config, error) {
-	out := Config{
-		Tight:          c.Tight,
-		Standby:        c.Standby,
-		FreqAdvantage:  c.FreqAdvantage,
-		FlushTasks:     c.FlushTasks,
-		Instances:      c.Instances,
-		HistogramMiss:  c.HistogramMiss,
-		VaryInputSeeds: c.VaryInputSeeds,
-		CycleBudget:    c.CycleBudget,
-		Label:          c.Label,
-	}
-	if c.Policy != "" {
-		p, err := ParsePETPolicy(c.Policy)
-		if err != nil {
-			return Config{}, err
-		}
-		out.Policy = p
-	}
-	if c.Fault != "" {
-		spec, err := fault.ParseSpec(c.Fault)
-		if err != nil {
-			return Config{}, invalidf("%v", err)
-		}
-		out.Fault = &spec
-	}
-	if err := out.Validate(); err != nil {
-		return Config{}, err
-	}
-	return out, nil
-}
-
-// Validate rejects specs that cannot materialize. Errors wrap
-// ErrInvalidSpec.
-func (c ConfigSpec) Validate() error {
-	_, err := c.Config()
-	return err
-}
-
-// ConfigSpecOf mirrors an in-process Config back into its wire form. The
-// Obs sink does not serialize.
-func ConfigSpecOf(c Config) ConfigSpec {
-	out := ConfigSpec{
-		Tight:          c.Tight,
-		Standby:        c.Standby,
-		FreqAdvantage:  c.FreqAdvantage,
-		FlushTasks:     c.FlushTasks,
-		Instances:      c.Instances,
-		HistogramMiss:  c.HistogramMiss,
-		VaryInputSeeds: c.VaryInputSeeds,
-		CycleBudget:    c.CycleBudget,
-		Label:          c.Label,
-	}
-	if c.Policy != PETLastN {
-		out.Policy = c.Policy.String()
-	}
-	if c.Fault != nil {
-		out.Fault = c.Fault.String()
-	}
-	return out
-}
+// ConfigSpec is Config under its former wire-type name. It exists only
+// because bench/serveload.go still names it: the bench/ module is kept
+// unchanged so that its results compare across commits.
+type ConfigSpec = Config
 
 // JobSpec is one serializable unit of work: a benchmark, a job kind, and a
 // config. It carries no function values, so it crosses process boundaries
 // and round-trips exactly through JSON.
 type JobSpec struct {
-	Version int        `json:"version"`
-	Bench   string     `json:"bench"`
-	Kind    string     `json:"kind,omitempty"` // "" means comparison
-	Config  ConfigSpec `json:"config"`
+	Version int    `json:"version"`
+	Bench   string `json:"bench"`
+	Kind    string `json:"kind,omitempty"` // "" means comparison
+	Config  Config `json:"config"`
 }
 
 // Validate rejects malformed job specs. Errors wrap ErrInvalidSpec.
@@ -168,30 +89,39 @@ func (j JobSpec) Job() (Job, error) {
 			return Job{}, err
 		}
 	}
-	cfg, err := j.Config.Config()
-	if err != nil {
+	if err := j.Config.Validate(); err != nil {
 		return Job{}, err
 	}
-	if kind == JobSafety && cfg.Fault == nil {
+	if kind == JobSafety && j.Config.Fault == nil {
 		return Job{}, invalidf("safety job without a fault spec")
 	}
-	return Job{Bench: b, Kind: kind, Config: cfg}, nil
+	return Job{Bench: b, Kind: kind, Config: j.Config}, nil
 }
 
 // Encode renders the spec in its canonical JSON form.
 func (j JobSpec) Encode() ([]byte, error) { return json.Marshal(j) }
 
 // DecodeJobSpec parses a canonical JobSpec encoding. Unknown fields are
-// errors (the schema is versioned — silence would mask typos). Decoding
-// does not validate; callers that execute the spec do.
+// errors (the schema is versioned — silence would mask typos), and so are
+// an unknown PET policy and a malformed fault plan; everything else is
+// checked by Validate, which callers that execute the spec run.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
 	var j JobSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		return JobSpec{}, invalidf("job spec: %v", err)
+	if err := decodeSpec(data, &j, "job spec"); err != nil {
+		return JobSpec{}, err
 	}
 	return j, nil
+}
+
+// decodeSpec decodes data into v, refusing unknown fields. Errors wrap
+// ErrInvalidSpec.
+func decodeSpec(data []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return invalidf("%s: %v", what, err)
+	}
+	return nil
 }
 
 // Plan kinds a PlanSpec can name. The figure/table kinds invoke the paper's
@@ -237,14 +167,12 @@ type PlanSpec struct {
 // Encode renders the spec in its canonical JSON form.
 func (p PlanSpec) Encode() ([]byte, error) { return json.Marshal(p) }
 
-// DecodePlanSpec parses a canonical PlanSpec encoding; unknown fields are
-// errors. Decoding does not validate; callers that execute the spec do.
+// DecodePlanSpec parses a canonical PlanSpec encoding, refusing what
+// DecodeJobSpec refuses. Callers that execute the spec validate it.
 func DecodePlanSpec(data []byte) (PlanSpec, error) {
 	var p PlanSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return PlanSpec{}, invalidf("plan spec: %v", err)
+	if err := decodeSpec(data, &p, "plan spec"); err != nil {
+		return PlanSpec{}, err
 	}
 	return p, nil
 }

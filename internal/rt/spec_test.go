@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -16,7 +19,7 @@ func TestJobSpecMaterialize(t *testing.T) {
 		Version: SpecVersion,
 		Bench:   "cnt",
 		Kind:    "comparison",
-		Config:  ConfigSpec{Tight: true, Instances: 5, Policy: "histogram", HistogramMiss: 0.1, Label: "x"},
+		Config:  Config{Tight: true, Instances: 5, Policy: PETHistogram, HistogramMiss: 0.1, Label: "x"},
 	}
 	if err := js.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -34,7 +37,7 @@ func TestJobSpecMaterialize(t *testing.T) {
 }
 
 func TestJobSpecRejections(t *testing.T) {
-	base := JobSpec{Version: SpecVersion, Bench: "cnt", Config: ConfigSpec{Label: "x"}}
+	base := JobSpec{Version: SpecVersion, Bench: "cnt", Config: Config{Label: "x"}}
 	cases := []struct {
 		name   string
 		mutate func(*JobSpec)
@@ -42,8 +45,8 @@ func TestJobSpecRejections(t *testing.T) {
 		{"bad version", func(j *JobSpec) { j.Version = 2 }},
 		{"unknown bench", func(j *JobSpec) { j.Bench = "nope" }},
 		{"unknown kind", func(j *JobSpec) { j.Kind = "nope" }},
-		{"unknown policy", func(j *JobSpec) { j.Config.Policy = "nope" }},
-		{"bad fault", func(j *JobSpec) { j.Config.Fault = "not-a-spec" }},
+		{"unknown policy", func(j *JobSpec) { j.Config.Policy = PETPolicy(99) }},
+		{"bad fault", func(j *JobSpec) { j.Config.Fault = &fault.Spec{Kind: fault.MemJitter, Rate: 5000} }},
 		{"negative instances", func(j *JobSpec) { j.Config.Instances = -1 }},
 		{"safety without fault", func(j *JobSpec) { j.Kind = "safety" }},
 	}
@@ -56,21 +59,6 @@ func TestJobSpecRejections(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("base spec must validate, got %v", err)
-	}
-}
-
-func TestConfigSpecRoundTripThroughConfig(t *testing.T) {
-	spec := ConfigSpec{
-		Policy: "histogram", Tight: true, Standby: true, FreqAdvantage: 1.5,
-		FlushTasks: 2, Instances: 10, HistogramMiss: 0.25, VaryInputSeeds: true,
-		Fault: "mem-jitter:50:0:7", CycleBudget: 123, Label: "rt",
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ConfigSpecOf(cfg); got != spec {
-		t.Errorf("ConfigSpecOf(Config()) = %+v, want %+v", got, spec)
 	}
 }
 
@@ -104,7 +92,7 @@ func TestPlanSpecCustom(t *testing.T) {
 		Version: 1, Kind: PlanCustom, Name: "mine",
 		Jobs: []JobSpec{
 			{Version: 1, Bench: "cnt", Kind: "table3"},
-			{Version: 1, Bench: "srt", Config: ConfigSpec{Instances: 5, Label: "srt5"}},
+			{Version: 1, Bench: "srt", Config: Config{Instances: 5, Label: "srt5"}},
 		},
 	}
 	plan, err := spec.Plan()
@@ -159,7 +147,7 @@ func TestPlanSpecEncodeDecodeExact(t *testing.T) {
 	spec := PlanSpec{
 		Version: 1, Kind: PlanCustom, Name: "mine",
 		Jobs: []JobSpec{{Version: 1, Bench: "cnt", Kind: "safety",
-			Config: ConfigSpec{Fault: "mem-jitter:50:0:1", Instances: 5, Label: "s"}}},
+			Config: Config{Fault: &fault.Spec{Kind: fault.MemJitter, Rate: 50, Seed: 1}, Instances: 5, Label: "s"}}},
 	}
 	enc, err := spec.Encode()
 	if err != nil {
@@ -181,34 +169,136 @@ func TestPlanSpecEncodeDecodeExact(t *testing.T) {
 	}
 }
 
+// TestDecodeRejections: an unknown policy or a malformed fault plan is
+// refused when the spec is decoded, wrapping ErrInvalidSpec once.
+func TestDecodeRejections(t *testing.T) {
+	for name, cfg := range map[string]string{
+		"unknown policy":          `{"policy":"nope"}`,
+		"fault not a spec":        `{"fault":"x"}`,
+		"fault rate out of range": `{"fault":"mem-jitter:5000"}`,
+	} {
+		job := `{"version":1,"bench":"cnt","config":` + cfg + `}`
+		_, jerr := DecodeJobSpec([]byte(job))
+		_, perr := DecodePlanSpec([]byte(`{"version":1,"kind":"custom","name":"x","jobs":[` + job + `]}`))
+		for _, err := range []error{jerr, perr} {
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Errorf("%s: err = %v, want ErrInvalidSpec", name, err)
+			} else if n := strings.Count(err.Error(), ErrInvalidSpec.Error()); n != 1 {
+				t.Errorf("%s: %q names ErrInvalidSpec %d times", name, err, n)
+			}
+		}
+	}
+}
+
+// TestWireGolden pins the canonical encodings: a custom plan setting every
+// Config field, a safety plan, a figure plan and the custom plan's jobs
+// encode to the recorded bytes, and each recorded line decodes and
+// re-encodes to itself.
+func TestWireGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := PlanSpec{Version: 1, Kind: PlanCustom, Name: "wire", Jobs: []JobSpec{
+		{Version: 1, Bench: "cnt", Kind: "comparison", Config: Config{
+			Policy: PETHistogram, Tight: true, Standby: true, FreqAdvantage: 1.5,
+			FlushTasks: 2, Instances: 10, HistogramMiss: 0.25, VaryInputSeeds: true,
+			Fault:       &fault.Spec{Kind: fault.MemJitter, Rate: 50, Cycles: 64, Seed: 7},
+			CycleBudget: 123456789, Label: "wire/all"}},
+		{Version: 1, Bench: "srt", Kind: "safety", Config: Config{
+			Tight: true, Instances: 5, Fault: &fault.Spec{Kind: fault.CacheFlush, Rate: 250, Seed: 3},
+			Label: "wire/safety"}},
+		{Version: 1, Bench: "fft", Kind: "table3", Config: Config{Label: "wire/table3"}},
+	}}
+	plans := []PlanSpec{
+		custom,
+		{Version: 1, Kind: PlanSafety, Benches: []string{"cnt", "lms"}, Instances: 5, Seed: 11,
+			Faults: []string{"branch-poison", "mem-jitter"}, Rates: []int{50, 250}},
+		{Version: 1, Kind: PlanFig2, Benches: []string{"fft"}, Instances: 20},
+	}
+	var enc []byte
+	for _, p := range plans {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc = append(append(enc, b...), '\n')
+	}
+	for _, j := range custom.Jobs {
+		b, err := j.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc = append(append(enc, b...), '\n')
+	}
+	if !bytes.Equal(enc, golden) {
+		t.Errorf("encodings differ from testdata/wire.golden:\n%s", enc)
+	}
+
+	lines := bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n"))
+	for i, line := range lines {
+		var re []byte
+		if i < len(plans) {
+			p, err := DecodePlanSpec(line)
+			if err != nil {
+				t.Fatalf("line %d: %v", i+1, err)
+			}
+			if !reflect.DeepEqual(p, plans[i]) {
+				t.Errorf("line %d decodes to %+v, want %+v", i+1, p, plans[i])
+			}
+			re, err = p.Encode()
+		} else {
+			j, err := DecodeJobSpec(line)
+			if err != nil {
+				t.Fatalf("line %d: %v", i+1, err)
+			}
+			re, err = j.Encode()
+		}
+		if !bytes.Equal(re, line) {
+			t.Errorf("line %d: encode(decode(x)) != x:\n%s\n%s", i+1, line, re)
+		}
+	}
+}
+
 // FuzzJobSpecRoundTrip pins the canonical-encoding property the service
 // relies on: for any JobSpec value, encode(decode(encode(s))) == encode(s)
-// byte for byte.
+// byte for byte. A spec whose policy or fault plan is invalid does not
+// encode at all.
 func FuzzJobSpecRoundTrip(f *testing.F) {
-	f.Add(1, "cnt", "comparison", "last-n", true, false, 1.5, 3, 40, 0.1, true, "mem-jitter:50:0:7", int64(99), "label")
-	f.Add(1, "srt", "safety", "histogram", false, true, 0.0, 0, 0, 0.0, false, "", int64(0), "")
-	f.Add(7, "", "nope", "x", false, false, -1.0, -2, -3, math.Inf(1), true, ":::", int64(-1), "Ω")
-	f.Fuzz(func(t *testing.T, version int, bench, kind, policy string,
+	f.Add(1, "cnt", "comparison", 0, true, false, 1.5, 3, 40, 0.1, true, true, 5, 50, int64(0), uint64(7), int64(99), "label")
+	f.Add(1, "srt", "safety", 1, false, true, 0.0, 0, 0, 0.0, false, false, 0, 0, int64(0), uint64(0), int64(0), "")
+	f.Add(7, "", "nope", 9, false, false, -1.0, -2, -3, math.Inf(1), true, true, -1, 5000, int64(-1), uint64(1), int64(-1), "Ω")
+	f.Fuzz(func(t *testing.T, version int, bench, kind string, policy int,
 		tight, standby bool, freqAdv float64, flush, instances int,
-		miss float64, vary bool, faultStr string, budget int64, label string) {
+		miss float64, vary, hasFault bool, faultKind, faultRate int, faultCycles int64, faultSeed uint64,
+		budget int64, label string) {
 		if math.IsNaN(freqAdv) || math.IsInf(freqAdv, 0) || math.IsNaN(miss) || math.IsInf(miss, 0) {
 			t.Skip("JSON cannot carry NaN/Inf")
 		}
-		for _, s := range []string{bench, kind, policy, faultStr, label} {
+		for _, s := range []string{bench, kind, label} {
 			if !utf8.ValidString(s) {
 				// JSON strings are UTF-8; a spec holding invalid UTF-8 has
 				// no canonical wire form (Marshal substitutes U+FFFD).
 				t.Skip("invalid UTF-8 input")
 			}
 		}
-		s := JobSpec{Version: version, Bench: bench, Kind: kind, Config: ConfigSpec{
-			Policy: policy, Tight: tight, Standby: standby, FreqAdvantage: freqAdv,
+		s := JobSpec{Version: version, Bench: bench, Kind: kind, Config: Config{
+			Policy: PETPolicy(policy), Tight: tight, Standby: standby, FreqAdvantage: freqAdv,
 			FlushTasks: flush, Instances: instances, HistogramMiss: miss,
-			VaryInputSeeds: vary, Fault: faultStr, CycleBudget: budget, Label: label,
+			VaryInputSeeds: vary, CycleBudget: budget, Label: label,
 		}}
+		if hasFault {
+			s.Config.Fault = &fault.Spec{Kind: fault.Kind(faultKind), Rate: faultRate, Cycles: faultCycles, Seed: faultSeed}
+		}
 		enc, err := s.Encode()
 		if err != nil {
-			t.Skip("unencodable input (invalid UTF-8 strings re-encode lossily)")
+			if s.Config.Policy.Valid() && (s.Config.Fault == nil || s.Config.Fault.Validate() == nil) {
+				t.Fatalf("valid policy and fault plan failed to encode: %v", err)
+			}
+			t.Skip("invalid policy or fault plan")
 		}
 		dec, err := DecodeJobSpec(enc)
 		if err != nil {

@@ -122,8 +122,8 @@ func TestHTTPSubmitAndReport(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for name, body := range map[string]string{
+	s, ts := newTestServer(t, Config{})
+	bodies := map[string]string{
 		"not json":      "{",
 		"unknown field": `{"version":1,"kind":"table3","typo":1}`,
 		"bad spec":      `{"version":9,"kind":"table3"}`,
@@ -131,11 +131,21 @@ func TestHTTPBadRequests(t *testing.T) {
 			`{"version":1,"bench":"cnt","config":{"policy":"histogram","histogram_miss":-3}}]}`,
 		"freq advantage overflows": `{"version":1,"kind":"custom","name":"f","jobs":[` +
 			`{"version":1,"bench":"cnt","config":{"freq_advantage":1e300,"instances":3,"label":"p"}}]}`,
-	} {
+		"unknown policy": `{"version":1,"kind":"custom","name":"u","jobs":[` +
+			`{"version":1,"bench":"cnt","config":{"policy":"nope"}}]}`,
+		"fault not a spec": `{"version":1,"kind":"custom","name":"x","jobs":[` +
+			`{"version":1,"bench":"cnt","config":{"fault":"x"}}]}`,
+		"fault rate out of range": `{"version":1,"kind":"custom","name":"r","jobs":[` +
+			`{"version":1,"bench":"cnt","config":{"fault":"mem-jitter:5000"}}]}`,
+	}
+	for name, body := range bodies {
 		resp, _ := submit(t, ts, "alice", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if got := s.rejectedSpec.Load(); got != int64(len(bodies)) {
+		t.Errorf("rejected_spec = %d, want %d", got, len(bodies))
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {

@@ -17,7 +17,7 @@ func tinyPlan() rt.PlanSpec {
 		Version: rt.SpecVersion, Kind: rt.PlanCustom, Name: "tiny",
 		Jobs: []rt.JobSpec{{
 			Version: rt.SpecVersion, Bench: "cnt",
-			Config: rt.ConfigSpec{Instances: 3, Label: "tiny/cnt"},
+			Config: rt.Config{Instances: 3, Label: "tiny/cnt"},
 		}},
 	}
 }
