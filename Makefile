@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench tier-all vet fmt-check test bench-record bench-diff clean
+.PHONY: all build tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench tier-results tier-all results vet fmt-check test bench-record bench-diff clean
 
 all: build
 
@@ -70,8 +70,21 @@ tier-durable:
 tier-bench:
 	cd bench && $(GO) test ./...
 
+# Tier results: the full reproduction (every table and figure at 200
+# instances) must print results_full.txt byte for byte.
+tier-results:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/experiments -all -j 2 > "$$out" && \
+	diff -u results_full.txt "$$out" && echo "results_full.txt reproduced"
+
 # Tier all: every gate in one invocation.
-tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench
+tier-all: tier1 tier2 tier-race tier-conform tier-lint tier-durable tier-bench tier-results
+
+# Regenerates results_full.txt, the committed output of the full
+# reproduction that tier-results checks.
+results:
+	$(GO) run ./cmd/experiments -all -j 2 > results_full.txt.tmp
+	mv results_full.txt.tmp results_full.txt
 
 # Writes BENCH_$(N).json, a new committed performance record: the result
 # line of every bench/run.sh run it takes (each BENCHMARK.json workload at

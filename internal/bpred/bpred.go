@@ -4,6 +4,12 @@
 // backward-taken/forward-not-taken (BTFN) heuristic (§3.1).
 package bpred
 
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+)
+
 // StaticTaken returns the BTFN static prediction for a conditional branch at
 // instruction index pc with the given target: backward branches are
 // predicted taken, forward branches not-taken.
@@ -59,6 +65,50 @@ func (g *Gshare) Flush() {
 	g.history = 0
 }
 
+// GshareSnapshot is a value copy of a Gshare's counters and history.
+type GshareSnapshot struct {
+	table   []uint8
+	history uint32
+	mask    uint32
+}
+
+// Snapshot copies g's state into s, reusing s's buffer.
+func (g *Gshare) Snapshot(s *GshareSnapshot) {
+	s.table = append(s.table[:0], g.table...)
+	s.history, s.mask = g.history, g.mask
+}
+
+// Restore puts g back in the state s was taken from (s must come from a
+// predictor of the same size).
+func (g *Gshare) Restore(s *GshareSnapshot) {
+	copy(g.table, s.table)
+	g.history = s.history
+}
+
+// Equal reports whether s and o predict and train identically from here
+// on: the same counters, and the same history bits under the index mask
+// (shifted-out bits never reach an index).
+func (s *GshareSnapshot) Equal(o *GshareSnapshot) bool {
+	return s.history&s.mask == o.history&o.mask && bytes.Equal(s.table, o.table)
+}
+
+// Hash returns a hash of what Equal compares.
+func (s *GshareSnapshot) Hash() uint64 {
+	h := (uint64(len(s.table)) ^ uint64(s.history&s.mask)) * hashPrime
+	t := s.table
+	for len(t) >= 8 {
+		h = (h ^ binary.LittleEndian.Uint64(t)) * hashPrime
+		t = t[8:]
+	}
+	for _, b := range t {
+		h = (h ^ uint64(b)) * hashPrime
+	}
+	return h
+}
+
+// hashPrime is the 64-bit FNV prime, the multiplier of the snapshot hashes.
+const hashPrime = 1099511628211
+
 // Indirect is the 2^16-entry indirect-target table, indexed the same way as
 // the gshare predictor (PC XOR global history). It shares the gshare's
 // history register, as in the paper.
@@ -97,6 +147,54 @@ func (t *Indirect) Flush() {
 	for i := range t.valid {
 		t.valid[i] = false
 	}
+}
+
+// IndirectSnapshot is a sparse value copy of an Indirect table: its valid
+// entries only, in index order. The history register belongs to the
+// Gshare the table indexes with, and is snapshotted there.
+type IndirectSnapshot struct {
+	entries []indirectEntry
+}
+
+type indirectEntry struct {
+	index  uint32
+	target int32
+}
+
+// Snapshot copies t's valid entries into s, reusing s's buffer.
+func (t *Indirect) Snapshot(s *IndirectSnapshot) {
+	s.entries = s.entries[:0]
+	for i, v := range t.valid {
+		if v {
+			s.entries = append(s.entries, indirectEntry{uint32(i), t.targets[i]})
+		}
+	}
+}
+
+// Restore makes exactly s's entries valid, with s's targets. Invalid
+// entries keep whatever target they held: Predict's callers never read a
+// target without its valid bit.
+func (t *Indirect) Restore(s *IndirectSnapshot) {
+	clear(t.valid)
+	for _, e := range s.entries {
+		t.targets[e.index] = e.target
+		t.valid[e.index] = true
+	}
+}
+
+// Equal reports whether s and o hold the same valid entries with the same
+// targets.
+func (s *IndirectSnapshot) Equal(o *IndirectSnapshot) bool {
+	return slices.Equal(s.entries, o.entries)
+}
+
+// Hash returns a hash of what Equal compares.
+func (s *IndirectSnapshot) Hash() uint64 {
+	h := uint64(len(s.entries))
+	for _, e := range s.entries {
+		h = (h ^ uint64(e.index)<<32 ^ uint64(uint32(e.target))) * hashPrime
+	}
+	return h
 }
 
 func b2u(b bool) uint32 {

@@ -5,7 +5,9 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"visa/internal/obs"
 )
@@ -174,6 +176,107 @@ func (c *Cache) renormalize() {
 	}
 	c.clock = 0
 }
+
+// Snapshot is a compact value copy of a cache: every line's tag and its
+// recency rank within its set, plus the LRU clock and the counters. Ranks
+// keep only what replacement reads — the order of the stamps — so two
+// caches whose lines were touched in the same order at different clock
+// values snapshot Equal.
+type Snapshot struct {
+	tags  []uint32 // line tv: block number + 1, 0 = invalid
+	ranks []uint8  // 0 = stamp 0, else 1 + the set's nonzero stamps below it
+	clock uint32
+	stats Stats
+}
+
+// Snapshot copies c's state into s, reusing s's buffers.
+func (c *Cache) Snapshot(s *Snapshot) {
+	if len(s.tags) != len(c.lines) {
+		s.tags = make([]uint32, len(c.lines))
+		s.ranks = make([]uint8, len(c.lines))
+	}
+	for base := 0; base < len(c.lines); base += c.assoc {
+		set := c.lines[base : base+c.assoc]
+		for i, l := range set {
+			s.tags[base+i] = l.tv
+			r := uint8(0)
+			if l.lru != 0 {
+				// Nonzero stamps in a set are distinct: each comes from its
+				// own clock tick, and renormalize zeroes them all.
+				r = 1
+				for _, o := range set {
+					if o.lru != 0 && o.lru < l.lru {
+						r++
+					}
+				}
+			}
+			s.ranks[base+i] = r
+		}
+	}
+	s.clock, s.stats = c.clock, c.stats
+}
+
+// Restore puts c back in the state s was taken from (s must come from a
+// cache of the same geometry): every later access hits, evicts and counts
+// as it would have on the original.
+func (c *Cache) Restore(s *Snapshot) { c.restore(s, s.clock, s.stats) }
+
+// Headroom returns how many more accesses c takes before its LRU clock
+// renormalizes.
+func (c *Cache) Headroom() int64 { return int64(^uint32(0) - c.clock) }
+
+// Advance puts c in the state that d's accesses, run again, would leave
+// it in: end's lines and recency order, the clock d.Accesses ticks on, and
+// the counters plus d. end and d must come from an earlier run of the same
+// accesses that started from lines Equal to c's and did not renormalize,
+// and d.Accesses must be within c's Headroom; Advance panics otherwise.
+func (c *Cache) Advance(end *Snapshot, d Stats) {
+	if d.Accesses < 0 || d.Accesses > c.Headroom() {
+		panic(fmt.Sprintf("cache: Advance by %d accesses with headroom %d", d.Accesses, c.Headroom()))
+	}
+	c.restore(end, c.clock+uint32(d.Accesses), Stats{
+		Accesses: c.stats.Accesses + d.Accesses,
+		Misses:   c.stats.Misses + d.Misses,
+	})
+}
+
+// restore sets c's lines from s with stamps at or below clock in s's rank
+// order: a set's highest rank gets clock itself, rank 0 gets stamp 0.
+func (c *Cache) restore(s *Snapshot, clock uint32, stats Stats) {
+	for base := 0; base < len(c.lines); base += c.assoc {
+		top := uint8(0)
+		for _, r := range s.ranks[base : base+c.assoc] {
+			top = max(top, r)
+		}
+		for i := base; i < base+c.assoc; i++ {
+			lru := uint32(0)
+			if r := s.ranks[i]; r != 0 {
+				lru = clock - uint32(top-r)
+			}
+			c.lines[i] = line{tv: s.tags[i], lru: lru}
+		}
+	}
+	c.clock, c.stats = clock, stats
+}
+
+// Equal reports whether s and o hold the same lines in the same recency
+// order, so that any access sequence hits and evicts identically on both.
+// The clock and counters are not compared.
+func (s *Snapshot) Equal(o *Snapshot) bool {
+	return slices.Equal(s.tags, o.tags) && bytes.Equal(s.ranks, o.ranks)
+}
+
+// Hash returns a hash of what Equal compares.
+func (s *Snapshot) Hash() uint64 {
+	h := uint64(len(s.tags))
+	for i, t := range s.tags {
+		h = (h ^ uint64(t)<<8 ^ uint64(s.ranks[i])) * hashPrime
+	}
+	return h
+}
+
+// hashPrime is the 64-bit FNV prime, the multiplier of Snapshot.Hash.
+const hashPrime = 1099511628211
 
 // Probe reports whether addr would hit, without updating LRU or stats.
 func (c *Cache) Probe(addr uint32) bool {

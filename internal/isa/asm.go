@@ -367,14 +367,14 @@ func (a *asmState) instruction(text string) error {
 		if err = want(3); err == nil {
 			if in.Rd, err = a.intReg(ops[0]); err == nil {
 				if in.Rs, err = a.intReg(ops[1]); err == nil {
-					in.Imm, err = a.imm16(ops[2])
+					in.Imm, err = a.imm16(ops[2], op)
 				}
 			}
 		}
 	case FmtRI:
 		if err = want(2); err == nil {
 			if in.Rd, err = a.intReg(ops[0]); err == nil {
-				in.Imm, err = a.imm16(ops[1])
+				in.Imm, err = a.imm16(ops[1], op)
 			}
 		}
 	case FmtFRR:
@@ -496,9 +496,14 @@ func (a *asmState) reg(s string, prefix byte) (uint8, error) {
 	return uint8(n), nil
 }
 
-func (a *asmState) imm16(s string) (int32, error) {
+// imm16 parses op's 16-bit immediate operand s, signed or unsigned by
+// op's convention (see Op.ZeroExtendsImm).
+func (a *asmState) imm16(s string, op Op) (int32, error) {
 	v, err := strconv.ParseInt(s, 0, 32)
-	if err != nil || !fitsInt16(int32(v)) {
+	if err != nil || !op.ImmFits(int32(v)) {
+		if op.ZeroExtendsImm() {
+			return 0, a.errf("immediate %q out of unsigned 16-bit range", s)
+		}
 		return 0, a.errf("immediate %q out of 16-bit range", s)
 	}
 	return int32(v), nil
@@ -512,7 +517,7 @@ func (a *asmState) memOperand(s string) (int32, uint8, error) {
 	}
 	disp := int32(0)
 	if d := strings.TrimSpace(s[:open]); d != "" {
-		v, err := a.imm16(d)
+		v, err := a.imm16(d, LW)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -5,7 +5,7 @@ import "fmt"
 // Binary encoding. Instructions are 32 bits:
 //
 //	R-format:  op[31:26] rd[25:21] rs[20:16] rt[15:11] zero[10:0]
-//	I-format:  op[31:26] rd[25:21] rs[20:16] imm[15:0]   (signed)
+//	I-format:  op[31:26] rd[25:21] rs[20:16] imm[15:0]   (signed; unsigned where Op.ZeroExtendsImm)
 //	B-format:  op[31:26] rs[25:21] rt[20:16] off[15:0]   (signed, PC-relative)
 //	J-format:  op[31:26] target[25:0]                    (absolute index)
 //	M-format:  op[31:26] imm[25:0]                       (MARK)
@@ -81,8 +81,12 @@ func Encode(inst Inst, pc int) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		if !fitsInt16(inst.Imm) {
-			return 0, &EncodeErr{inst, "immediate out of 16-bit range"}
+		if !inst.Op.ImmFits(inst.Imm) {
+			why := "immediate out of signed 16-bit range"
+			if inst.Op.ZeroExtendsImm() {
+				why = "immediate out of unsigned 16-bit range"
+			}
+			return 0, &EncodeErr{inst, why}
 		}
 		return op | rd<<21 | rs<<16 | uint32(uint16(inst.Imm)), nil
 	case FmtBranch:
@@ -135,7 +139,11 @@ func Decode(word uint32, pc int) (Inst, error) {
 	case FmtRRI, FmtMem, FmtRI:
 		in.Rd = uint8(word >> 21 & 31)
 		in.Rs = uint8(word >> 16 & 31)
-		in.Imm = int32(int16(word))
+		if op.ZeroExtendsImm() {
+			in.Imm = int32(uint16(word))
+		} else {
+			in.Imm = int32(int16(word))
+		}
 	case FmtBranch:
 		in.Rs = uint8(word >> 21 & 31)
 		in.Rt = uint8(word >> 16 & 31)

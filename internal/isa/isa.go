@@ -206,6 +206,10 @@ var opTable = [numOps]opInfo{
 	HALT:  {"halt", FmtNone, ClassHalt, 1},
 }
 
+// zextImm marks the ops whose 16-bit immediate field is zero-extended
+// (see Op.ZeroExtendsImm); every other immediate is sign-extended.
+var zextImm = [numOps]bool{ANDI: true, ORI: true, XORI: true, LUI: true}
+
 // Name returns the assembler mnemonic for op.
 func (op Op) Name() string {
 	if int(op) >= NumOps {
@@ -223,6 +227,23 @@ func (op Op) Class() Class { return opTable[op].class }
 // Latency returns the execute-stage latency of op in cycles. Load latency
 // excludes cache miss time, which the timing models add.
 func (op Op) Latency() int { return opTable[op].latency }
+
+// ZeroExtendsImm reports whether op's 16-bit immediate field holds an
+// unsigned value (0..65535) rather than a signed one (-32768..32767). As
+// on MIPS, the logical ops ANDI, ORI and XORI zero-extend, and so does
+// LUI, whose field is the raw upper half; the li and la pseudo-ops rely on
+// both. The in-memory Inst carries the extended value either way, so this
+// is the convention Encode, Decode and the assembler agree on.
+func (op Op) ZeroExtendsImm() bool { return int(op) < NumOps && zextImm[op] }
+
+// ImmFits reports whether v fits op's 16-bit immediate field under op's
+// extension convention.
+func (op Op) ImmFits(v int32) bool {
+	if op.ZeroExtendsImm() {
+		return v >= 0 && v <= 0xffff
+	}
+	return fitsInt16(v)
+}
 
 // IsBranch reports whether op can redirect fetch (conditional branches,
 // direct jumps, and indirect jumps).

@@ -61,6 +61,9 @@ func randomInst(r *rand.Rand, pc int) Inst {
 		case FmtRRI, FmtMem, FmtRI:
 			in.Rt = 0
 			in.Imm = int32(int16(r.Uint32()))
+			if op.ZeroExtendsImm() {
+				in.Imm = int32(uint16(in.Imm))
+			}
 			if op.Format() == FmtRI {
 				in.Rs = 0
 			}
@@ -118,6 +121,9 @@ func TestEncodeRangeErrors(t *testing.T) {
 		{Inst{Op: BEQ, Imm: 1 << 20}, 0},
 		{Inst{Op: J, Imm: -1}, 0},
 		{Inst{Op: ADD, Rd: 40}, 0},
+		{Inst{Op: ADDI, Rd: 1, Imm: 32768}, 0}, // signed field
+		{Inst{Op: ORI, Rd: 1, Imm: -1}, 0},     // unsigned field
+		{Inst{Op: LUI, Rd: 1, Imm: 65536}, 0},
 	}
 	for _, c := range cases {
 		if _, err := Encode(c.in, c.pc); err == nil {

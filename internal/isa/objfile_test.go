@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -77,5 +79,46 @@ func TestObjfileRejectsGarbage(t *testing.T) {
 	bad[4] = 99
 	if _, err := DecodeProgram(bad); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// TestWideConstantsRoundTrip: li splits a constant into lui and ori, whose
+// 16-bit fields hold raw halves (0..65535). Halves with the top bit set
+// must encode, and decode to the same instructions and constants.
+func TestWideConstantsRoundTrip(t *testing.T) {
+	consts := []int64{0x12348765, -40000, 0x80000000, 0xffff8000, 0x7fff8000}
+	src := ".text\nmain:\n"
+	for i, c := range consts {
+		src += fmt.Sprintf("    li r%d, %d\n", i+1, c)
+	}
+	src += "    halt\n"
+	p := MustAssemble("wide", src)
+	data, err := p.EncodeProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeProgram(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Code, p.Code) {
+		t.Fatalf("decoded %v, want %v", got.Code, p.Code)
+	}
+	// Evaluate the decoded code as exec does (LUI is Imm<<16).
+	var regs [32]int32
+	for _, in := range got.Code {
+		switch in.Op {
+		case ADDI:
+			regs[in.Rd] = regs[in.Rs] + in.Imm
+		case LUI:
+			regs[in.Rd] = in.Imm << 16
+		case ORI:
+			regs[in.Rd] = regs[in.Rs] | in.Imm
+		}
+	}
+	for i, c := range consts {
+		if regs[i+1] != int32(c) {
+			t.Errorf("li r%d, %d evaluates to %d after the round trip", i+1, c, regs[i+1])
+		}
 	}
 }

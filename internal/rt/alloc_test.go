@@ -6,7 +6,6 @@ import (
 	"visa/internal/clab"
 	"visa/internal/core"
 	"visa/internal/exec"
-	"visa/internal/power"
 )
 
 // TestRunTaskAllocBudget pins the engine-level allocation budget for one
@@ -29,14 +28,13 @@ func TestRunTaskAllocBudget(t *testing.T) {
 	}
 
 	for _, replay := range []bool{true, false} {
-		acct := &power.Accounting{Profile: power.ComplexProfile}
 		ps := newProcSim(s.Prog, ProcComplex, plan.Spec.FMHz)
 		if replay {
 			ps.trace = s.trace
 		}
 		var runErr error
 		run := func() {
-			if _, err := ps.runTask(plan, acct, 0, nil); err != nil {
+			if _, err := ps.runTask(plan, 0); err != nil {
 				runErr = err
 			}
 		}

@@ -14,7 +14,8 @@ import (
 //   - coalesced counters (the sink's CoalescingSink, the only counter path).
 //
 // A nil *runRecorder is the disabled path: every method is a no-op, so
-// runTask carries no enabled-guards.
+// RunProcessor carries no enabled-guards. runTask itself never calls it:
+// it logs taskEvents that RunProcessor applies here.
 type runRecorder struct {
 	mw *obs.MetricsWriter
 	cs *obs.CoalescingSink
@@ -75,15 +76,15 @@ func (r *runRecorder) checkpoint(marginCycles int64) {
 	r.margin.ObserveInt(marginCycles)
 }
 
-// checkpointMiss records the recovery switch's drain window
-// [atCyc, resumeCyc]: on the complex core a missed checkpoint with a drain
-// into simple mode (EQ 4), on simple-fixed the deferred frequency switch
-// (EQ 2, no drain window).
-func (r *runRecorder) checkpointMiss(atCyc, resumeCyc int64) {
+// checkpointMiss records the recovery switch's drain window of
+// drainCycles: on the complex core a missed checkpoint with a drain into
+// simple mode (EQ 4), on simple-fixed the deferred frequency switch (EQ 2,
+// no drain window).
+func (r *runRecorder) checkpointMiss(drainCycles int64) {
 	if r == nil {
 		return
 	}
-	r.drain.ObserveInt(resumeCyc - atCyc)
+	r.drain.ObserveInt(drainCycles)
 }
 
 // faultInjected records count faults injected during one instance.

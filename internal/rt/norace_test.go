@@ -1,0 +1,6 @@
+//go:build !race
+
+package rt
+
+// raceEnabled reports a race-detector build, where the long sweeps shrink.
+const raceEnabled = false

@@ -36,6 +36,12 @@ type procSim struct {
 	trace  *exec.Trace
 	reader exec.Reader
 	replay bool
+
+	// events is the current task's accounting and recorder log (see
+	// taskEvent); memo, when set, serves tasks whose start state it has
+	// seen (see taskMemo).
+	events []taskEvent
+	memo   *taskMemo
 }
 
 func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
@@ -116,6 +122,7 @@ func (ps *procSim) takeActivity() power.Activity {
 }
 
 func (ps *procSim) flush() {
+	ps.memo.forget()
 	ps.ic.Flush()
 	ps.dc.Flush()
 	if ps.cx != nil {
@@ -140,20 +147,63 @@ func (ps *procSim) attachInjector(inj *fault.Injector) {
 
 // taskResult is one task instance's outcome.
 type taskResult struct {
-	timeNs    float64
-	aets      []float64 // per-sub-task AET in cycles-at-1GHz (ns@1GHz)
+	timeNs float64
+	// aets is each sub-task's AET in cycles-at-1GHz (ns@1GHz). It is
+	// read-only once runTask returns: the task memo hands one slice to
+	// every instance it serves.
+	aets      []float64
 	missed    bool
 	simpleNs  float64 // time spent in recovery (simple mode / recovery freq)
 	endCycles int64   // pipeline cycles at task end (engine latency)
 }
 
-// runTask executes one task instance under the plan, accounting energy into
-// acct and returning timing. It implements the §2.2/§4.2 protocol: watchdog
-// armed at task start, advanced at each sub-task boundary, and on expiry the
-// processor drains, switches to the recovery frequency (and, on the complex
-// core, to simple mode), masking further checkpoint exceptions. rec (which
-// may be nil) records the protocol's metrics.
-func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, rec *runRecorder) (taskResult, error) {
+// taskEvent is one accounting or recorder happening of a task: a power
+// segment at volts, a passed checkpoint's watchdog margin, or a recovery
+// switch's drain window. runTask logs them in order and the caller applies
+// them, so a task the memo serves accounts exactly as a simulated one.
+type taskEvent struct {
+	kind   eventKind
+	act    power.Activity
+	volts  float64
+	cycles int64
+}
+
+type eventKind uint8
+
+const (
+	evSegment eventKind = iota
+	evMargin
+	evDrain
+)
+
+// apply adds the event to the run's energy account or recorder.
+func (ev *taskEvent) apply(acct *power.Accounting, rec *runRecorder) {
+	switch ev.kind {
+	case evSegment:
+		acct.AddSegment(ev.act, ev.volts)
+	case evMargin:
+		rec.checkpoint(ev.cycles)
+	case evDrain:
+		rec.checkpointMiss(ev.cycles)
+	}
+}
+
+// segment logs the pipeline's activity since the last segment as one
+// power segment of the given cycle length at volts.
+func (ps *procSim) segment(cycles int64, volts float64) {
+	a := ps.takeActivity()
+	a.Cycles = cycles
+	ps.events = append(ps.events, taskEvent{kind: evSegment, act: a, volts: volts})
+}
+
+// runTask executes one task instance under the plan and returns its
+// timing, leaving its energy segments and recorder observations in
+// ps.events. It implements the §2.2/§4.2 protocol: watchdog armed at task
+// start, advanced at each sub-task boundary, and on expiry the processor
+// drains, switches to the recovery frequency (and, on the complex core, to
+// simple mode), masking further checkpoint exceptions.
+func (ps *procSim) runTask(plan *core.Plan, seed int32) (taskResult, error) {
+	ps.events = ps.events[:0]
 	if err := ps.start(seed); err != nil {
 		return taskResult{}, err
 	}
@@ -186,15 +236,13 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 	}
 
 	doFreqSwitch := func(now int64) {
-		a := ps.takeActivity()
-		a.Cycles = now
-		acct.AddSegment(a, fs.Volts)
+		ps.segment(now, fs.Volts)
 		switched = true
 		switchAt = now
 		switchStart = now
 		res.missed = true
 		ps.bus.SetFreq(fr.FMHz)
-		rec.checkpointMiss(now, now) // EQ 2: no drain window
+		ps.events = append(ps.events, taskEvent{kind: evDrain}) // EQ 2: no drain window
 	}
 
 	// Simple-mode cycles are scaled down when reconstructing a mispredicted
@@ -242,7 +290,7 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					pendingSwitch = false
 				}
 				if k >= 1 && wd.Armed() {
-					rec.checkpoint(wd.Remaining(now))
+					ps.events = append(ps.events, taskEvent{kind: evMargin, cycles: wd.Remaining(now)})
 					wd.Add(now, plan.WatchdogAdd[k])
 				}
 				curSub = k
@@ -258,15 +306,13 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 					// Missed checkpoint on the VISA-compliant core (§2.2):
 					// drain, account the speculative segment, and re-configure
 					// into simple mode at the recovery frequency.
-					a := ps.takeActivity()
-					a.Cycles = rt
-					acct.AddSegment(a, fs.Volts)
+					ps.segment(rt, fs.Volts)
 					switched = true
 					switchAt = rt
 					res.missed = true
 					switchStart = ps.cx.SwitchToSimple(rt)
 					ps.bus.SetFreq(fr.FMHz)
-					rec.checkpointMiss(switchAt, switchStart)
+					ps.events = append(ps.events, taskEvent{kind: evDrain, cycles: switchStart - switchAt})
 				} else {
 					// PET misprediction on the explicitly-safe core: finish
 					// the sub-task at f_spec, then switch frequency.
@@ -289,14 +335,11 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 	closeSub(end)
 	res.endCycles = end
 
-	a := ps.takeActivity()
 	if !switched {
-		a.Cycles = end
-		acct.AddSegment(a, fs.Volts)
+		ps.segment(end, fs.Volts)
 		res.timeNs = float64(end) * 1000 / float64(fs.FMHz)
 	} else {
-		a.Cycles = end - switchStart
-		acct.AddSegment(a, fr.Volts)
+		ps.segment(end-switchStart, fr.Volts)
 		res.timeNs = float64(switchAt)*1000/float64(fs.FMHz) +
 			OvhdNs +
 			float64(end-switchStart)*1000/float64(fr.FMHz)
@@ -307,6 +350,18 @@ func (ps *procSim) runTask(plan *core.Plan, acct *power.Accounting, seed int32, 
 
 // RunProcessor executes the full periodic experiment for one processor.
 func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
+	return runProcessor(s, proc, cfg, memoHook{})
+}
+
+// memoHook is the task memo's test hook; RunProcessor passes the zero
+// value, which uses the memo wherever the run allows it.
+type memoHook struct {
+	off    bool       // simulate every task
+	shadow shadowFunc // replaces the memo's advance on every hit
+	hits   *int       // when set, receives the number of tasks the memo served
+}
+
+func runProcessor(s *Setup, proc Proc, cfg Config, hook memoHook) (*ProcResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -353,6 +408,12 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		}
 		ps.attachInjector(inj)
 	}
+	// The memo needs every task on one input and no injector: an injected
+	// fault stream, or a new input each instance, makes each task's start
+	// state new.
+	if cfg.Fault == nil && !cfg.VaryInputSeeds && !hook.off {
+		ps.memo = &taskMemo{shadow: hook.shadow}
+	}
 
 	rec := newRunRecorder(cfg, s.Bench.Name, ps)
 
@@ -373,9 +434,12 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		if cfg.VaryInputSeeds {
 			seed = int32(1e6 + i*7919)
 		}
-		res, err := ps.runTask(plan, acct, seed, rec)
+		res, events, err := ps.task(plan, seed)
 		if err != nil {
 			return nil, err
+		}
+		for k := range events {
+			events[k].apply(acct, rec)
 		}
 		usedNs := res.timeNs
 		if res.missed {
@@ -433,6 +497,9 @@ func RunProcessor(s *Setup, proc Proc, cfg Config) (*ProcResult, error) {
 		rec.instanceDone(res, usedNs, deadline, replanned)
 	}
 	rec.finish()
+	if hook.hits != nil && ps.memo != nil {
+		*hook.hits = ps.memo.hits
+	}
 	out.Energy = acct.Energy()
 	out.AvgPower = acct.AvgPower(float64(n) * deadline)
 	out.FinalSpecMHz = plan.Spec.FMHz
