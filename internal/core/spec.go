@@ -190,25 +190,6 @@ func (pl *Plan) buildPETBudgets(pets []float64) {
 	}
 }
 
-// FixedPlan builds a VISA plan pinned to one operating point with EQ 1
-// checkpoints: no frequency speculation, just checkpoint protection. The
-// SMT application uses it at the maximum frequency — slack is spent on
-// co-scheduled threads rather than on voltage (paper §1.1). It returns
-// ok=false when the first checkpoint would already be unreachable.
-func FixedPlan(p Params, t *WCETTable, pointIdx int) (*Plan, bool) {
-	plan := &Plan{
-		Mode:        SpecVISA,
-		Spec:        t.Points[pointIdx],
-		Rec:         t.Points[pointIdx],
-		Speculating: true,
-	}
-	plan.buildCheckpoints(p, t, pointIdx)
-	if plan.WatchdogInit <= 0 {
-		return nil, false
-	}
-	return plan, true
-}
-
 // fixedPlan runs at a provably safe frequency; the watchdog is disarmed
 // (checkpoints cannot be missed, there is nothing to recover to).
 func fixedPlan(mode SpecMode, p Params, t *WCETTable, idx int) *Plan {

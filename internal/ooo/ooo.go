@@ -72,21 +72,6 @@ func clampInject(stall int64) int64 {
 	return stall
 }
 
-// IdledThreadError reports a hardware protocol violation: a non-real-time
-// thread was fed while the pipeline was in simple mode, where the paper
-// idles all threads but the hard real-time task (§1.1). It surfaces as a
-// structured error through the experiment engine instead of crashing the
-// simulation.
-type IdledThreadError struct {
-	Tid   int   // the offending hardware thread
-	Cycle int64 // simple-mode cycle at the violation
-}
-
-func (e *IdledThreadError) Error() string {
-	return fmt.Sprintf("ooo: thread %d fed at cycle %d: non-real-time threads are idled in simple mode",
-		e.Tid, e.Cycle)
-}
-
 // Config sizes the complex core. Zero values take the paper's parameters.
 type Config struct {
 	FetchWidth  int
@@ -407,11 +392,12 @@ type Pipeline struct {
 	mode   Mode
 	simple *simple.Pipeline
 
-	// Shared structures: fetch/dispatch/issue/port/retire bandwidth, the
-	// reorder buffer, issue queue, and load/store queue capacities, the
-	// predictors, and the cache hierarchy are shared by all hardware
-	// threads, as in an SMT processor (§1.1).
+	// Front end: the fetch cursor, the pending redirect from the last
+	// mispredicted branch, and the I-cache block being fetched from.
 	fetchSlots widthSlot
+	redirect   int64
+	fetchBlock uint32
+	haveBlock  bool
 
 	// windows: the ROB allocates and frees in order (circular timestamp
 	// buffer); the IQ and LSQ free out of order (occupancy trackers).
@@ -427,9 +413,13 @@ type Pipeline struct {
 	portSlots     oooSlot
 	retireSlots   oooSlot
 
-	// th holds per-hardware-thread state. Thread 0 is the hard real-time
-	// task; additional threads are created on demand by FeedThread.
-	th []*threadCtx
+	// Architectural register readiness, the in-flight store window (cap
+	// fixed at LSQSize), the latest completion, and the last retire cycle.
+	intReady    [32]int64
+	fpReady     [32]int64
+	stores      []storeRec
+	maxComplete int64
+	lastRetire  int64
 
 	act power.Activity
 
@@ -461,7 +451,7 @@ type Stats struct {
 
 // RegisterObs registers the core's counters under prefix (e.g.
 // "cnt.complex.pipe"), including the shared simple-mode engine's counters
-// under prefix+".simple_mode". Sampling is lazy; FeedThread is untouched by
+// under prefix+".simple_mode". Sampling is lazy; Feed is untouched by
 // observation.
 func (p *Pipeline) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix+".retired", func() int64 { return p.Stats.Retired })
@@ -473,43 +463,6 @@ func (p *Pipeline) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix+".mode_switches", func() int64 { return p.Stats.ModeSwitches })
 	reg.Counter(prefix+".simple_mode.retired", func() int64 { return p.Stats.SimpleModeRetired })
 	p.simple.RegisterObs(reg, prefix+".simple_mode")
-}
-
-// threadCtx is one hardware thread's private state: architectural register
-// readiness, front-end redirect/fetch-block tracking, per-thread program
-// order for retirement, and its in-flight stores (threads do not share an
-// address space in this model).
-type threadCtx struct {
-	redirect   int64
-	fetchBlock uint32
-	haveBlock  bool
-	lastFetch  int64
-
-	intReady [32]int64
-	fpReady  [32]int64
-
-	stores      []storeRec // in-flight store window, cap fixed at LSQSize
-	maxComplete int64
-	lastRetire  int64
-}
-
-func newThreadCtx(cycle int64, lsqSize int) *threadCtx {
-	t := &threadCtx{stores: make([]storeRec, 0, lsqSize)}
-	t.reset(cycle)
-	return t
-}
-
-// reset restores a (possibly recycled) thread context to its
-// just-created-at-cycle state. The store window keeps its backing array, so
-// a context reused across Rebase never re-allocates.
-func (t *threadCtx) reset(cycle int64) {
-	t.redirect, t.maxComplete, t.lastRetire, t.lastFetch = cycle, cycle, cycle, cycle
-	t.fetchBlock, t.haveBlock = 0, false
-	t.stores = t.stores[:0]
-	for i := range t.intReady {
-		t.intReady[i] = cycle
-		t.fpReady[i] = cycle
-	}
 }
 
 // New builds a complex pipeline with its own predictors around the shared
@@ -527,6 +480,7 @@ func New(cfg Config, ic, dc *cache.Cache, bus *memsys.Bus) *Pipeline {
 		robRetire: make([]int64, cfg.ROBSize),
 		iqOcc:     newOccTracker(cfg.IQSize),
 		lsqOcc:    newOccTracker(cfg.LSQSize),
+		stores:    make([]storeRec, 0, cfg.LSQSize),
 	}
 	p.simple = simple.New(ic, dc, bus)
 	p.simple.CountRenames = true // §3.2: limited renaming stays active
@@ -564,46 +518,18 @@ func (p *Pipeline) Rebase(cycle int64) {
 	p.iqOcc.reset()
 	p.lsqOcc.reset()
 	p.robIdx = 0
-	// Recycle thread contexts: a periodic-task harness rebases once per
-	// instance, and re-allocating the context (store window included) each
-	// time showed up in the engine allocation profile.
-	if len(p.th) == 0 {
-		p.th = append(p.th, newThreadCtx(cycle, p.Cfg.LSQSize))
-	} else {
-		p.th = p.th[:1]
-		p.th[0].reset(cycle)
+	p.redirect, p.maxComplete, p.lastRetire = cycle, cycle, cycle
+	p.fetchBlock, p.haveBlock = 0, false
+	// The store window keeps its backing array: a periodic-task harness
+	// rebases once per instance, and re-allocating it each time showed up
+	// in the engine allocation profile.
+	p.stores = p.stores[:0]
+	for i := range p.intReady {
+		p.intReady[i] = cycle
+		p.fpReady[i] = cycle
 	}
 	p.simple.Rebase(cycle)
 }
-
-// thread returns (creating if needed) hardware-thread tid's context.
-func (p *Pipeline) thread(tid int) *threadCtx {
-	if tid < len(p.th) {
-		return p.th[tid]
-	}
-	return p.growThreads(tid)
-}
-
-// growThreads extends the thread table to cover tid, reviving contexts left
-// in the backing array by an earlier Rebase truncation before allocating new
-// ones. Kept out of thread itself so the hot feed path's thread lookup stays
-// allocation-free by construction.
-func (p *Pipeline) growThreads(tid int) *threadCtx {
-	at := p.th[0].lastRetire
-	for len(p.th) <= tid {
-		if n := len(p.th); n < cap(p.th) && p.th[:n+1][n] != nil {
-			p.th = p.th[:n+1]
-			p.th[n].reset(at)
-			continue
-		}
-		p.th = append(p.th, newThreadCtx(at, p.Cfg.LSQSize))
-	}
-	return p.th[tid]
-}
-
-// ThreadLastFetch reports when thread tid last fetched, letting an SMT
-// driver interleave instruction streams in approximate fetch order.
-func (p *Pipeline) ThreadLastFetch(tid int) int64 { return p.thread(tid).lastFetch }
 
 // SwitchToSimple drains the pipeline and re-configures into simple mode
 // (missed checkpoint, §2.2). It returns the cycle at which simple-mode
@@ -632,13 +558,13 @@ func (p *Pipeline) FlushPredictors() {
 	p.Indirect.Flush()
 }
 
-// Now returns the retire cycle of the most recent instruction of the
-// hard real-time thread (thread 0) in the active mode.
+// Now returns the retire cycle of the most recent instruction in the
+// active mode.
 func (p *Pipeline) Now() int64 {
 	if p.mode == ModeSimple {
 		return p.simple.Now()
 	}
-	return p.th[0].lastRetire
+	return p.lastRetire
 }
 
 // TakeActivity returns and clears accumulated activity of the active mode.
@@ -654,50 +580,29 @@ func (p *Pipeline) TakeActivity() power.Activity {
 	return a
 }
 
-// Feed times one dynamic instruction of the hard real-time thread
-// (thread 0) and returns its retire cycle.
+// Feed times one dynamic instruction and returns its retire cycle.
 //
 //visa:hotpath
 func (p *Pipeline) Feed(d *exec.DynInst) int64 {
-	rt, _ := p.FeedThread(0, d) // thread 0 cannot trigger IdledThreadError
-	return rt
-}
-
-// FeedThread times one dynamic instruction of hardware thread tid and
-// returns its retire cycle. Thread 0 is the hard real-time task; other
-// threads are the simultaneously multithreaded soft/non-real-time work of
-// §1.1. All threads share fetch/dispatch/issue/retire bandwidth, the
-// ROB/IQ/LSQ capacities, the predictors, and the cache hierarchy; each has
-// its own architectural registers, front-end redirect state, and program
-// order. In simple mode only thread 0 may execute: the paper idles the
-// other threads without context-switching them out (§1.1); feeding one
-// anyway returns an IdledThreadError.
-//
-//visa:hotpath
-func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 	if p.mode == ModeSimple {
-		if tid != 0 {
-			return 0, &IdledThreadError{Tid: tid, Cycle: p.simple.Now()} //visa:allow(hotalloc): error path, fires at most once per idled feed
-		}
 		p.Stats.SimpleModeRetired++
-		return p.simple.Feed(d), nil
+		return p.simple.Feed(d)
 	}
-	t := p.thread(tid)
 	in := d.Inst
 	cfg := &p.Cfg
 
 	// --- Fetch ---
-	ft := p.fetchSlots.take(t.redirect)
+	ft := p.fetchSlots.take(p.redirect)
 	p.act.Fetches++
 	blk := p.ICache.Block(isa.InstAddr(int(d.PC)))
-	if !t.haveBlock || blk != t.fetchBlock {
+	if !p.haveBlock || blk != p.fetchBlock {
 		p.act.ICacheAcc++
 		if !p.ICache.Access(isa.InstAddr(int(d.PC))) {
 			fill := p.Bus.Request(ft)
 			p.fetchSlots.reset(fill)
 			ft = p.fetchSlots.take(fill)
 		}
-		t.fetchBlock, t.haveBlock = blk, true
+		p.fetchBlock, p.haveBlock = blk, true
 	}
 	if p.Inject != nil {
 		if stall := clampInject(p.Inject.FetchStall()); stall > 0 {
@@ -707,7 +612,6 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 			ft = p.fetchSlots.take(ft + stall)
 		}
 	}
-	t.lastFetch = ft
 
 	// --- Dispatch: rename, allocate ROB/IQ/LSQ ---
 	dt := ft + 1
@@ -729,8 +633,8 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 	if p.Inject != nil && p.Inject.DrainStall() {
 		// Injected ROB drain: dispatch waits for all older work to complete,
 		// collapsing the out-of-order window for one instruction.
-		if t.maxComplete+1 > dt {
-			dt = t.maxComplete + 1
+		if p.maxComplete+1 > dt {
+			dt = p.maxComplete + 1
 		}
 	}
 	dt = p.dispatchSlots.take(dt)
@@ -747,45 +651,45 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 	fl := in.Op.Deco()
 	if fl&isa.DecoSrcIntRs != 0 {
 		p.act.RegReads++
-		if v := t.intReady[in.Rs]; v > it {
+		if v := p.intReady[in.Rs]; v > it {
 			it = v
 		}
 	}
 	if fl&isa.DecoSrcIntRt != 0 {
 		p.act.RegReads++
-		if v := t.intReady[in.Rt]; v > it {
+		if v := p.intReady[in.Rt]; v > it {
 			it = v
 		}
 	}
 	if fl&isa.DecoSrcIntRd != 0 {
 		p.act.RegReads++
-		if v := t.intReady[in.Rd]; v > it {
+		if v := p.intReady[in.Rd]; v > it {
 			it = v
 		}
 	}
 	if fl&isa.DecoSrcFPRs != 0 {
 		p.act.RegReads++
-		if v := t.fpReady[in.Rs]; v > it {
+		if v := p.fpReady[in.Rs]; v > it {
 			it = v
 		}
 	}
 	if fl&isa.DecoSrcFPRt != 0 {
 		p.act.RegReads++
-		if v := t.fpReady[in.Rt]; v > it {
+		if v := p.fpReady[in.Rt]; v > it {
 			it = v
 		}
 	}
 	if fl&isa.DecoSrcFPRd != 0 {
 		p.act.RegReads++
-		if v := t.fpReady[in.Rd]; v > it {
+		if v := p.fpReady[in.Rd]; v > it {
 			it = v
 		}
 	}
 	lat := int64(in.Op.Latency())
 	if in.Op == isa.MARK {
 		// The sub-task snippet reads the cycle counter: fully serializing.
-		if t.maxComplete > it {
-			it = t.maxComplete
+		if p.maxComplete > it {
+			it = p.maxComplete
 		}
 		lat = p.simple.SnippetCycles
 	}
@@ -806,10 +710,10 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 		if in.Op.Class() == isa.ClassLoad {
 			// Store-to-load forwarding and conservative same-block ordering
 			// against older in-flight stores.
-			for i := len(t.stores) - 1; i >= 0; i-- {
-				if t.stores[i].block == dblk {
-					if t.stores[i].complete+1 > ct {
-						ct = t.stores[i].complete + 1
+			for i := len(p.stores) - 1; i >= 0; i-- {
+				if p.stores[i].block == dblk {
+					if p.stores[i].complete+1 > ct {
+						ct = p.stores[i].complete + 1
 					}
 					break
 				}
@@ -839,19 +743,19 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 			}
 		}
 	}
-	if ct > t.maxComplete {
-		t.maxComplete = ct
+	if ct > p.maxComplete {
+		p.maxComplete = ct
 	}
 	p.act.FUOps += lat
 	p.act.Bypass++
 
 	// --- Writeback / retire, in order ---
 	rt := ct + 2
-	if t.lastRetire > rt {
-		rt = t.lastRetire
+	if p.lastRetire > rt {
+		rt = p.lastRetire
 	}
 	rt = p.retireSlots.take(rt)
-	t.lastRetire = rt
+	p.lastRetire = rt
 	p.robRetire[p.robIdx] = rt
 	if p.robIdx++; p.robIdx == cfg.ROBSize {
 		p.robIdx = 0
@@ -871,26 +775,26 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 	}
 	if fl&isa.DecoIntDestRd != 0 && in.Rd != isa.RegZero {
 		p.act.RegWrites++
-		t.intReady[in.Rd] = ready
+		p.intReady[in.Rd] = ready
 	} else if fl&isa.DecoIntDestRA != 0 {
 		p.act.RegWrites++
-		t.intReady[isa.RegRA] = ready
+		p.intReady[isa.RegRA] = ready
 	}
 	if fl&isa.DecoFPDest != 0 {
 		p.act.RegWrites++
-		t.fpReady[in.Rd] = ready
+		p.fpReady[in.Rd] = ready
 	}
 	if isMem && in.Op.Class() == isa.ClassStore {
 		// The window holds at most LSQSize in-flight stores. At capacity the
 		// oldest slides out via copy-down (re-slicing off the front would
 		// strand capacity); below it the slice extends within its fixed
-		// LSQSize backing array from newThreadCtx. Either way: no allocation.
-		if n := len(t.stores); n == cfg.LSQSize {
-			copy(t.stores, t.stores[1:])
-			t.stores[n-1] = storeRec{p.DCache.Block(d.Addr), ct}
+		// LSQSize backing array from New. Either way: no allocation.
+		if n := len(p.stores); n == cfg.LSQSize {
+			copy(p.stores, p.stores[1:])
+			p.stores[n-1] = storeRec{p.DCache.Block(d.Addr), ct}
 		} else {
-			t.stores = t.stores[:n+1]
-			t.stores[n] = storeRec{p.DCache.Block(d.Addr), ct}
+			p.stores = p.stores[:n+1]
+			p.stores[n] = storeRec{p.DCache.Block(d.Addr), ct}
 		}
 	}
 
@@ -905,7 +809,7 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 		p.Gshare.Update(int(d.PC), d.Taken)
 		if pred != d.Taken {
 			p.BranchMispredicts++
-			p.redirectFetch(t, ct+1, tid == 0)
+			p.redirectFetch(ct + 1)
 		}
 	case isa.ClassJR:
 		p.act.BPred++
@@ -913,24 +817,19 @@ func (p *Pipeline) FeedThread(tid int, d *exec.DynInst) (int64, error) {
 		p.Indirect.Update(int(d.PC), int(d.NextPC))
 		if !ok || target != int(d.NextPC) {
 			p.IndirectMispreds++
-			p.redirectFetch(t, ct+1, tid == 0)
+			p.redirectFetch(ct + 1)
 		}
 	case isa.ClassJump:
 		// Direct targets come from the BTB merged with the I-cache.
 	}
-	return rt, nil
+	return rt
 }
 
-// redirectFetch restarts thread t's fetch at the branch-resolution point.
-// Only the primary (real-time) thread may move the shared fetch cursor: a
-// priority fetch policy keeps secondary threads' squashes from disturbing
-// the hard task's front-end timing.
-func (p *Pipeline) redirectFetch(t *threadCtx, at int64, primary bool) {
-	if at > t.redirect {
-		t.redirect = at
+// redirectFetch restarts fetch at the branch-resolution point.
+func (p *Pipeline) redirectFetch(at int64) {
+	if at > p.redirect {
+		p.redirect = at
 	}
-	if primary {
-		p.fetchSlots.reset(at)
-	}
-	t.haveBlock = false
+	p.fetchSlots.reset(at)
+	p.haveBlock = false
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"visa/internal/bpred"
 	"visa/internal/cache"
 	"visa/internal/exec"
 	"visa/internal/isa"
@@ -348,5 +349,66 @@ func TestMemoryContentionOnlyInComplexMode(t *testing.T) {
 	simpleCycles := timeSimple(t, prog)
 	if rc[len(rc)-1] >= simpleCycles {
 		t.Errorf("complex (%d) should overlap misses; simple = %d", rc[len(rc)-1], simpleCycles)
+	}
+}
+
+// TestRebaseForgetsPipelineState: after Rebase, a pipeline that already ran
+// a task must time the next one exactly like a fresh pipeline whose caches
+// and predictors hold the same contents. Rebase must therefore reset every
+// piece of in-flight state (register readiness, the store window, the
+// latest completion, the fetch redirect, the windows and slot rings); only
+// the caches, predictors and counters carry over. The rt task memo relies
+// on this: it keys a task on its cache and predictor state alone. All six
+// benchmarks run because cnt, adpcm and srt never load from a block that
+// the previous pass's last stores wrote, so they miss a stale store window.
+func TestRebaseForgetsPipelineState(t *testing.T) {
+	for _, name := range []string{"adpcm", "cnt", "fft", "lms", "mm", "srt"} {
+		t.Run(name, func(t *testing.T) { checkRebaseForgets(t, benchStream(t, name)) })
+	}
+}
+
+func checkRebaseForgets(t *testing.T, stream []exec.DynInst) {
+	for _, c := range []int64{0, 100} {
+		a := newPipe()
+		for j := range stream {
+			a.Feed(&stream[j])
+		}
+		var ic, dc cache.Snapshot
+		var g bpred.GshareSnapshot
+		var ind bpred.IndirectSnapshot
+		a.ICache.Snapshot(&ic)
+		a.DCache.Snapshot(&dc)
+		a.Gshare.Snapshot(&g)
+		a.Indirect.Snapshot(&ind)
+		// Zero the cumulative counters so the second pass's counts compare
+		// directly with the fresh pipeline's.
+		a.Stats, a.BranchMispredicts, a.IndirectMispreds = Stats{}, 0, 0
+		a.TakeActivity()
+		a.Bus.Reset()
+		a.Rebase(c)
+
+		b := newPipe()
+		b.ICache.Restore(&ic)
+		b.DCache.Restore(&dc)
+		b.Gshare.Restore(&g)
+		b.Indirect.Restore(&ind)
+		b.Rebase(c)
+
+		for j := range stream {
+			ra, rb := a.Feed(&stream[j]), b.Feed(&stream[j])
+			if ra != rb {
+				t.Fatalf("Rebase(%d): instruction %d retires at %d on the rebased pipeline, %d on a fresh one", c, j, ra, rb)
+			}
+		}
+		if a.Stats != b.Stats {
+			t.Errorf("Rebase(%d): stats %+v, fresh pipeline %+v", c, a.Stats, b.Stats)
+		}
+		if a.BranchMispredicts != b.BranchMispredicts || a.IndirectMispreds != b.IndirectMispreds {
+			t.Errorf("Rebase(%d): mispredicts %d/%d, fresh pipeline %d/%d", c,
+				a.BranchMispredicts, a.IndirectMispreds, b.BranchMispredicts, b.IndirectMispreds)
+		}
+		if aa, ba := a.TakeActivity(), b.TakeActivity(); aa != ba {
+			t.Errorf("Rebase(%d): activity %+v, fresh pipeline %+v", c, aa, ba)
+		}
 	}
 }

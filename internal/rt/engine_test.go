@@ -142,9 +142,6 @@ func TestRunEntryPointsValidate(t *testing.T) {
 	if _, err := RunComparison(clab.ByName("cnt"), bad); err == nil {
 		t.Error("RunComparison accepted a negative instance count")
 	}
-	if _, err := RunSMT(s, bad, s.Prog); err == nil {
-		t.Error("RunSMT accepted a negative instance count")
-	}
 	plan := &Plan{Name: "bad", Jobs: []Job{{Bench: clab.ByName("cnt"), Config: bad}}}
 	if _, err := (&Engine{Workers: 2}).Run(plan); err == nil {
 		t.Error("Engine.Run accepted a plan with a negative instance count")

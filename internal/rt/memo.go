@@ -21,7 +21,7 @@ import (
 //
 // The memo lives in one procSim, so it dies with its RunProcessor call.
 // RunProcessor bypasses it under a fault injector and under varied input
-// seeds; NewSetup's profile runs and RunSMT never build one.
+// seeds; NewSetup's profile runs never build one.
 
 // Caps on one run's memo. A 200-instance run reaches 2–15 distinct start
 // states; past a cap, new states and outcomes are simulated and not kept.

@@ -354,7 +354,7 @@ type Config struct {
 }
 
 // Validate rejects configurations that would otherwise silently misbehave.
-// Every run entry point (RunProcessor, RunComparison, RunSMT, Engine.Run)
+// Every run entry point (RunProcessor, RunComparison, Engine.Run)
 // calls it before doing any work. All rejections wrap ErrInvalidSpec, so
 // service boundaries classify them with errors.Is.
 func (c Config) Validate() error {
