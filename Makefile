@@ -26,20 +26,25 @@ fmt-check:
 
 # Tier race: the runtime-critical packages under the race detector — the
 # core protocol plus the full rt and obs suites (worker pool, GetSetup
-# memoization, record buffers, coalescing sinks) and the value analysis
-# (concurrent Analyze on one graph, per-call scratch). The race runtime is
-# ~15x slower than native, hence the explicit timeout.
+# memoization, record buffers, coalescing sinks), the value analysis
+# (concurrent Analyze on one graph, per-call scratch) and the conformance
+# oracle (each Check builds its own model set, so a set shared across
+# engine workers shows up here). The race runtime is ~15x slower than
+# native, hence the explicit timeout.
 tier-race:
-	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/... ./internal/absint/...
+	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/... ./internal/absint/... ./internal/conform/...
 
 # Tier conform: the cross-model conformance gate — the conform package's
 # unit tests and checked-in fuzz corpus, the six-benchmark × 37-point I2
 # property, then the full campaign: 200 seeded random programs plus all
 # benchmarks through exec/simple/OOO-simple-mode/WCET in lockstep. The
-# campaign seed is pinned so the corpus is deterministic.
+# campaign seed is pinned so the corpus is deterministic, and its report
+# must print cmd/experiments/testdata/conform_seed1_n200.txt byte for byte.
 tier-conform:
 	$(GO) test ./internal/conform/...
-	$(GO) run ./cmd/experiments -campaign conform -seed 1 -n 200
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/experiments -campaign conform -seed 1 -n 200 > "$$out" && \
+	diff -u cmd/experiments/testdata/conform_seed1_n200.txt "$$out" && echo "conform campaign report reproduced"
 
 # Tier lint: the custom static-analysis gate — the lint framework's own
 # unit and golden tests, then the visavet suite (detlint, seedlint,

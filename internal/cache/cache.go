@@ -296,6 +296,16 @@ func (c *Cache) Flush() {
 	clear(c.lines)
 }
 
+// Reset returns c to the state New leaves it in: every line invalid, the
+// LRU clock at zero and the counters cleared. Flush keeps the clock, so a
+// flushed cache renormalizes at a different access than a fresh one; a
+// reset cache cannot be told apart from a fresh one.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock = 0
+	c.stats = Stats{}
+}
+
 // ResetStats zeroes the counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 

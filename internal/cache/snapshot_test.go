@@ -209,3 +209,33 @@ func TestSnapshotEqualIgnoresClock(t *testing.T) {
 		t.Error("different lines are Equal")
 	}
 }
+
+// Property: a cache reset after random accesses, from any clock including
+// one just short of the wrap, is a fresh cache: the same lines, clock and
+// headroom, zero counters, and the same hits and misses on every later
+// access. Reset allocates nothing.
+func TestResetEqualsNew(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		used := randomCache(r)
+		used.Reset()
+		fresh := MustNew(used.Config())
+		if !sameCache(used, fresh) || used.Headroom() != fresh.Headroom() || used.Stats() != (Stats{}) {
+			return false
+		}
+		for i := 0; i < 400; i++ {
+			addr := uint32(r.Intn(128)) * 32
+			if used.Access(addr) != fresh.Access(addr) || !sameCache(used, fresh) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	c := MustNew(VISAL1)
+	if n := testing.AllocsPerRun(10, c.Reset); n != 0 {
+		t.Errorf("Reset allocates %.1f times, want 0", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"visa/internal/exec"
 	"visa/internal/fault"
 )
 
@@ -29,7 +30,7 @@ func TestGenCorpusValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %#x: %v", seed, err)
 		}
-		tr, err := funcRun(prog, DefaultMaxInsts)
+		tr, err := funcRun(exec.New(prog), DefaultMaxInsts)
 		if err != nil {
 			t.Fatalf("seed %#x: %v", seed, err)
 		}

@@ -2,6 +2,7 @@ package conform
 
 import (
 	"fmt"
+	"math/bits"
 
 	"visa/internal/cache"
 	"visa/internal/exec"
@@ -82,21 +83,23 @@ func (r *Result) violate(invariant, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{invariant, fmt.Sprintf(format, args...)})
 }
 
-// streamHash folds the functional retirement stream into one word
-// (FNV-1a over every DynInst field), so divergence anywhere in a
-// multi-million-instruction trace is caught without storing it.
+// streamHash folds the functional retirement stream into one word, so
+// divergence anywhere in a multi-million-instruction trace is caught
+// without storing it. It starts at streamBasis and folds each DynInst
+// field as one 64-bit word v by x' = rotl((x^v)·hashMul, 31)·hashFin.
+// Both multipliers are odd, so for a fixed word the step is a bijection of
+// the state, and for a fixed state it is injective in the word: two
+// streams that differ in exactly one word always hash differently.
 type streamHash uint64
 
+const (
+	streamBasis streamHash = 14695981039346656037
+	hashMul                = 0x9e3779b97f4a7c15
+	hashFin                = 0xbf58476d1ce4e5b9
+)
+
 func (h *streamHash) word(v uint64) {
-	x := uint64(*h)
-	if x == 0 {
-		x = 14695981039346656037
-	}
-	for i := 0; i < 8; i++ {
-		x = (x ^ (v & 0xff)) * 1099511628211
-		v >>= 8
-	}
-	*h = streamHash(x)
+	*h = streamHash(bits.RotateLeft64((uint64(*h)^v)*hashMul, 31) * hashFin)
 }
 
 func (h *streamHash) add(d *exec.DynInst) {
@@ -154,10 +157,10 @@ func stepBudget(m *exec.Machine, maxInsts int64) (exec.DynInst, bool, error) {
 	return d, ok, nil
 }
 
-// funcRun executes the program on the functional machine alone.
-func funcRun(prog *isa.Program, maxInsts int64) (funcTrace, error) {
-	m := exec.New(prog)
-	var h streamHash
+// funcRun executes the program on the functional machine m alone, from
+// the state m is in.
+func funcRun(m *exec.Machine, maxInsts int64) (funcTrace, error) {
+	h := streamBasis
 	for {
 		d, ok, err := stepBudget(m, maxInsts)
 		if err != nil {
@@ -168,6 +171,83 @@ func funcRun(prog *isa.Program, maxInsts int64) (funcTrace, error) {
 		}
 		h.add(&d)
 	}
+}
+
+// models is the hardware one Check call drives: the functional machine,
+// the two L1 caches, the memory bus and the simple pipeline, built once
+// per program, plus the complex pipeline over the same caches and bus,
+// built by the first mode-switch run. Each run first resets what it drives
+// to the state its constructor leaves, so a run on reused models observes
+// exactly what it would on fresh ones, without allocating a 64 KiB memory
+// page, two caches or the complex core's predictor tables per run.
+type models struct {
+	m      *exec.Machine
+	ic, dc *cache.Cache
+	bus    *memsys.Bus
+	simple *simple.Pipeline
+	ooo    *ooo.Pipeline
+}
+
+func newModels(prog *isa.Program) *models {
+	ic := cache.MustNew(cache.VISAL1)
+	dc := cache.MustNew(cache.VISAL1)
+	bus := memsys.NewBus(memsys.Default, 1000)
+	return &models{m: exec.New(prog), ic: ic, dc: dc, bus: bus, simple: simple.New(ic, dc, bus)}
+}
+
+// reset puts the machine, the caches and the bus in their fresh state,
+// with the bus at mhz, and applies the injector's instance flush.
+func (ms *models) reset(mhz int, inj *fault.Injector) {
+	ms.m.Reset()
+	ms.ic.Reset()
+	ms.dc.Reset()
+	ms.bus.SetFreq(mhz)
+	ms.bus.Stats = memsys.Stats{}
+	if inj.FlushInstance() {
+		ms.ic.Flush()
+		ms.dc.Flush()
+	}
+}
+
+// resetSimple puts p in the state simple.New leaves it in, with inj
+// attached when non-nil.
+func resetSimple(p *simple.Pipeline, inj *fault.Injector) {
+	p.Rebase(0)
+	p.TakeActivity()
+	p.Mispredicts = 0
+	p.Stats = simple.Stats{}
+	p.Inject = nil
+	if inj != nil {
+		p.Inject = inj
+	}
+}
+
+// simpleAt resets the models for one simple-pipeline run at mhz.
+func (ms *models) simpleAt(mhz int, inj *fault.Injector) *simple.Pipeline {
+	ms.reset(mhz, inj)
+	resetSimple(ms.simple, inj)
+	return ms.simple
+}
+
+// oooAt resets the models for one complex-core run at mhz, building the
+// complex pipeline on first use.
+func (ms *models) oooAt(mhz int, inj *fault.Injector) *ooo.Pipeline {
+	ms.reset(mhz, inj)
+	if ms.ooo == nil {
+		ms.ooo = ooo.New(ooo.Config{}, ms.ic, ms.dc, ms.bus)
+	}
+	p := ms.ooo
+	p.Rebase(0)
+	p.TakeActivity()
+	p.FlushPredictors()
+	p.BranchMispredicts, p.IndirectMispreds = 0, 0
+	p.Stats = ooo.Stats{}
+	p.Inject = nil
+	if inj != nil {
+		p.Inject = inj
+	}
+	resetSimple(p.SimpleEngine(), inj)
+	return p
 }
 
 // simpleObs is one simple-pipeline run's observation: the functional trace
@@ -194,29 +274,19 @@ func newInjector(spec *fault.Spec) (*fault.Injector, error) {
 	return fault.New(*spec)
 }
 
-func driveSimple(prog *isa.Program, mhz int, spec *fault.Spec, maxInsts int64) (*simpleObs, error) {
-	ic := cache.MustNew(cache.VISAL1)
-	dc := cache.MustNew(cache.VISAL1)
-	p := simple.New(ic, dc, memsys.NewBus(memsys.Default, mhz))
+func driveSimple(ms *models, mhz int, spec *fault.Spec, maxInsts int64) (*simpleObs, error) {
 	inj, err := newInjector(spec)
 	if err != nil {
 		return nil, err
 	}
-	if inj != nil {
-		p.Inject = inj
-	}
-	if inj.FlushInstance() {
-		ic.Flush()
-		dc.Flush()
-	}
-
-	m := exec.New(prog)
-	nSub := prog.NumSubTasks()
+	p := ms.simpleAt(mhz, inj)
+	m, ic, dc := ms.m, ms.ic, ms.dc
+	nSub := m.Prog.NumSubTasks()
 	o := &simpleObs{
 		subCycles: make([]int64, nSub),
 		dMisses:   make([]int64, nSub),
 	}
-	var h streamHash
+	h := streamBasis
 	cur := -1
 	var lastBoundary int64
 	var lastDC cache.Stats
@@ -276,31 +346,20 @@ type switchObs struct {
 // sample the clock, switch, then feed the MARK into simple mode — so the
 // windows of sub-tasks switchMark.. are pure simple-mode time measured
 // from the post-overhead origin.
-func driveSwitch(prog *isa.Program, mhz, switchMark int, spec *fault.Spec, maxInsts int64) (*switchObs, error) {
-	ic := cache.MustNew(cache.VISAL1)
-	dc := cache.MustNew(cache.VISAL1)
-	p := ooo.New(ooo.Config{}, ic, dc, memsys.NewBus(memsys.Default, mhz))
+func driveSwitch(ms *models, mhz, switchMark int, spec *fault.Spec, maxInsts int64) (*switchObs, error) {
 	inj, err := newInjector(spec)
 	if err != nil {
 		return nil, err
 	}
-	if inj != nil {
-		p.Inject = inj
-		p.SimpleEngine().Inject = inj
-	}
-	if inj.FlushInstance() {
-		ic.Flush()
-		dc.Flush()
-	}
-
-	m := exec.New(prog)
+	p := ms.oooAt(mhz, inj)
+	m := ms.m
 	o := &switchObs{
 		switchMark:  switchMark,
 		firstRetire: -1,
 		subCycles:   map[int]int64{},
 		ovhd:        p.Cfg.SwitchOvhdCycles,
 	}
-	var h streamHash
+	h := streamBasis
 	switched := false
 	cur := -1
 	var lastBoundary int64
@@ -335,7 +394,7 @@ func driveSwitch(prog *isa.Program, mhz, switchMark int, spec *fault.Spec, maxIn
 		}
 	}
 	if !switched {
-		return nil, fmt.Errorf("conform: %s: switch mark %d never executed", prog.Name, switchMark)
+		return nil, fmt.Errorf("conform: %s: switch mark %d never executed", m.Prog.Name, switchMark)
 	}
 	if cur >= 0 {
 		o.subCycles[cur] = p.Now() - lastBoundary
@@ -385,19 +444,31 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 
 	res := &Result{Name: prog.Name, SubTasks: prog.NumSubTasks(), Points: len(points)}
 
-	// I1 seed: the functional reference, run twice.
-	ref, err := funcRun(prog, maxInsts)
+	// I1 seed: the functional reference, run twice on fresh machines, and
+	// once more on the second machine after Machine.Reset, which every
+	// timing run below relies on.
+	ref, err := funcRun(exec.New(prog), maxInsts)
 	if err != nil {
 		return nil, err
 	}
 	res.DynInsts = ref.seq
-	again, err := funcRun(prog, maxInsts)
+	ms := newModels(prog)
+	again, err := funcRun(ms.m, maxInsts)
 	if err != nil {
 		return nil, err
 	}
 	if !ref.equal(again) {
 		res.violate("I1", "repeated functional runs diverge: %d vs %d insts, hash %x vs %x",
 			ref.seq, again.seq, ref.hash, again.hash)
+	}
+	ms.m.Reset()
+	reset, err := funcRun(ms.m, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	if !ref.equal(reset) {
+		res.violate("I1", "functional run after Machine.Reset diverges from a fresh machine: %d vs %d insts, hash %x vs %x",
+			reset.seq, ref.seq, reset.hash, ref.hash)
 	}
 
 	// Static bounds: analyzer + cold-profile D-cache pad, exactly as the
@@ -406,7 +477,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cold, err := driveSimple(prog, 1000, nil, maxInsts)
+	cold, err := driveSimple(ms, 1000, nil, maxInsts)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +511,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 			return nil, err
 		}
 		for _, spec := range specs {
-			o, err := driveSimple(prog, f, spec, maxInsts)
+			o, err := driveSimple(ms, f, spec, maxInsts)
 			if err != nil {
 				return nil, err
 			}
@@ -459,7 +530,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 		return nil, err
 	}
 	for _, spec := range specs {
-		o, err := driveSwitch(prog, switchMHz, switchMark, spec, maxInsts)
+		o, err := driveSwitch(ms, switchMHz, switchMark, spec, maxInsts)
 		if err != nil {
 			return nil, err
 		}
