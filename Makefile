@@ -71,9 +71,12 @@ tier-durable:
 # module, so the root `go test ./...` never reaches it. The suite checks
 # the percentile rules, BENCHMARK.json against the workload catalog and the
 # failure accounting, then smokes every workload (-quick), traced and
-# untraced, against the pinned goldens in bench/testdata.
+# untraced, against the pinned goldens in bench/testdata. The WCET table
+# layer benchmark runs once, so its per-program cost stays reproducible
+# outside bench/.
 tier-bench:
 	cd bench && $(GO) test ./...
+	$(GO) test -run '^$$' -bench BuildWCETTable -benchtime 1x ./internal/wcet/
 
 # Tier results: the full reproduction (every table and figure at 200
 # instances) must print results_full.txt byte for byte.

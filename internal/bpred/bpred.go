@@ -28,9 +28,7 @@ type Gshare struct {
 func NewGshare(bits uint) *Gshare {
 	g := &Gshare{bits: bits, mask: 1<<bits - 1}
 	g.table = make([]uint8, 1<<bits)
-	for i := range g.table {
-		g.table[i] = 1 // weakly not-taken
-	}
+	fillWeak(g.table)
 	return g
 }
 
@@ -59,10 +57,18 @@ func (g *Gshare) Update(pc int, taken bool) {
 
 // Flush clears the counters and history (misprediction injection, Figure 4).
 func (g *Gshare) Flush() {
-	for i := range g.table {
-		g.table[i] = 1
-	}
+	fillWeak(g.table)
 	g.history = 0
+}
+
+// fillWeak sets every counter to weakly not-taken. Each copy doubles the
+// filled prefix, so a 64 Ki table takes 16 bulk copies instead of a loop
+// of byte stores.
+func fillWeak(t []uint8) {
+	t[0] = 1
+	for n := 1; n < len(t); n *= 2 {
+		copy(t[n:], t[:n])
+	}
 }
 
 // GshareSnapshot is a value copy of a Gshare's counters and history.

@@ -106,3 +106,26 @@ func TestSnapshotEqual(t *testing.T) {
 		t.Errorf("a valid entry is not in the snapshot: %+v", y.entries)
 	}
 }
+
+// TestGshareFlushEqualsFresh: a flushed table is, counter for counter and
+// in its history, the table of a fresh predictor, from a one-counter table
+// up to the 64 Ki counters of the complex core.
+func TestGshareFlushEqualsFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, bits := range []uint{0, 1, 4, 10, 16} {
+		g := NewGshare(bits)
+		trainRandom(r, g, NewIndirect(g), 5000)
+		g.Flush()
+		var flushed, fresh GshareSnapshot
+		g.Snapshot(&flushed)
+		NewGshare(bits).Snapshot(&fresh)
+		if !flushed.Equal(&fresh) || flushed.history != 0 {
+			t.Errorf("%d bits: flushed table differs from a fresh one", bits)
+		}
+		for i, c := range fresh.table {
+			if c != 1 {
+				t.Fatalf("%d bits: fresh counter %d is %d, want 1 (weakly not-taken)", bits, i, c)
+			}
+		}
+	}
+}

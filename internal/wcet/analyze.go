@@ -13,7 +13,14 @@ import (
 )
 
 // Analyzer holds the per-program analysis state: control flow, loop bounds,
-// caching categorizations, and memoized scope summaries.
+// caching categorizations, and memoized scope summaries. Its memos:
+//
+//   - pathsMemo and regionMemo: the path trees of every loop, sub-task
+//     region and function, enumerated once per analyzer (they do not
+//     depend on the operating point);
+//   - sumMemo and fnMemo: loop and function totals per miss penalty;
+//   - partMemo: the penalty-invariant parts of loop totals, shared by all
+//     operating points.
 type Analyzer struct {
 	Prog  *isa.Program
 	Graph *cfg.Graph
@@ -36,9 +43,10 @@ type Analyzer struct {
 	// static D-cache analysis uses proven access ranges.
 	valueRep *absint.Report
 
-	pathsMemo map[loopKey]loopPathsVal
-	sumMemo   map[sumKey]summary
-	fnMemo    map[fnKey]int64
+	pathsMemo  map[loopKey]loopTrees
+	regionMemo map[regionKey]*pathTree
+	sumMemo    map[sumKey]summary
+	fnMemo     map[fnKey]int64
 
 	// partMemo holds the parts of loop summaries that are the same at every
 	// operating point, so a table build simulates them once instead of once
@@ -66,9 +74,17 @@ type loopKey struct {
 	id int
 }
 
-type loopPathsVal struct {
-	body []path
-	exit []path
+type loopTrees struct {
+	body *pathTree
+	exit *pathTree
+}
+
+// regionKey names a region path set: fn's top level from start to the next
+// MARK (when marks), a return, or a halt.
+type regionKey struct {
+	fn    string
+	start int
+	marks bool
 }
 
 type sumKey struct {
@@ -136,7 +152,8 @@ func newFromGraph(prog *isa.Program, g *cfg.Graph) (*Analyzer, error) {
 		MemCfg:        memsys.Default,
 		SnippetCycles: simple.DefaultSnippetCycles,
 		dcPad:         make([]int64, maxInt(prog.NumSubTasks(), 1)),
-		pathsMemo:     map[loopKey]loopPathsVal{},
+		pathsMemo:     map[loopKey]loopTrees{},
+		regionMemo:    map[regionKey]*pathTree{},
 		sumMemo:       map[sumKey]summary{},
 		fnMemo:        map[fnKey]int64{},
 		partMemo:      map[partKey]*loopParts{},
@@ -244,11 +261,14 @@ func missSteady(a *Analyzer) missFn {
 // catICache drives the shared VISA timing engine from categorizations.
 // Residency is a generation-stamped array over the code segment's blocks:
 // reset is a counter bump instead of a fresh map, so a pooled engine starts
-// a new phase without touching the (per-block) backing store at all.
+// a new phase without touching the (per-block) backing store at all. The
+// blocks made resident in the current generation are journaled, in order,
+// so a tree walk can take residency back to a checkpoint.
 type catICache struct {
 	a        *Analyzer
 	miss     missFn
 	loaded   []uint32 // per code block; loaded[i] == gen means resident
+	journal  []uint32 // blocks stamped this generation, oldest first
 	gen      uint32
 	blkBase  uint32 // block number of the first code block
 	last     uint32
@@ -268,6 +288,7 @@ func newCatICache(a *Analyzer) *catICache {
 func (c *catICache) reset(miss missFn) {
 	c.miss = miss
 	c.haveLast = false
+	c.journal = c.journal[:0]
 	c.gen++
 	if c.gen == 0 {
 		// Stamp wraparound after 2^32 resets: old stamps could alias the
@@ -289,13 +310,29 @@ func (c *catICache) Access(addr uint32) bool {
 	}
 	pc := int((addr - isa.CodeBase) / isa.InstBytes)
 	if !c.miss(pc) {
-		c.loaded[idx] = c.gen
+		c.stamp(idx)
 		return true
 	}
 	if c.a.Cats[pc].Cat != AlwaysMiss {
-		c.loaded[idx] = c.gen // persistent: resident after the one miss
+		c.stamp(idx) // persistent: resident after the one miss
 	}
 	return false
+}
+
+// stamp makes block idx resident. A block is stamped at most once per
+// generation between undos, so the journal never outgrows the code segment.
+func (c *catICache) stamp(idx uint32) {
+	c.loaded[idx] = c.gen
+	c.journal = append(c.journal, idx)
+}
+
+// undo evicts the blocks stamped after the journal held n entries. Zero is
+// never a live generation.
+func (c *catICache) undo(n int) {
+	for _, idx := range c.journal[n:] {
+		c.loaded[idx] = 0
+	}
+	c.journal = c.journal[:n]
 }
 
 // hitCache is the D-cache stand-in: always hit (misses are charged by the
@@ -324,12 +361,42 @@ func (b *penBus) Latency() int64 {
 }
 
 // engUnit is one pooled simulation engine with the handles needed to
-// re-arm it for a new phase.
+// re-arm it for a new phase, and the buffers of its tree walks.
 type engUnit struct {
 	eng    *simple.Pipeline
 	ic     *catICache
 	bus    *penBus
 	dcMiss bool // which D-cache stand-in the engine was built with
+
+	cps  []checkpoint // the walk's saved states, by increasing depth
+	path []int32      // the walk's current path, as indices into the tree's ops
+}
+
+// checkpoint is everything Pipeline.Feed reads that a walk changes: the
+// pipeline timing state and the I-cache stand-in's residency and last
+// fetched block. The D-cache stand-ins and the penalty bus are stateless.
+type checkpoint struct {
+	depth    int
+	st       simple.State
+	journal  int
+	last     uint32
+	haveLast bool
+}
+
+func (u *engUnit) save(depth int) {
+	u.cps = append(u.cps, checkpoint{
+		depth:    depth,
+		st:       u.eng.State(),
+		journal:  len(u.ic.journal),
+		last:     u.ic.last,
+		haveLast: u.ic.haveLast,
+	})
+}
+
+func (u *engUnit) restore(cp *checkpoint) {
+	u.eng.SetState(cp.st)
+	u.ic.undo(cp.journal)
+	u.ic.last, u.ic.haveLast = cp.last, cp.haveLast
 }
 
 // engine returns a drained VISA timing engine configured for one
@@ -367,59 +434,104 @@ func (a *Analyzer) release(u *engUnit) {
 	a.engPool = append(a.engPool, u)
 }
 
-// simPath times one path from a drained pipeline at cycle 0 and returns the
-// completion cycle. Inner loops and calls are charged their (memoized)
-// summaries as drained segments.
-func (a *Analyzer) simPath(fg *cfg.FuncGraph, p path, pen int64, miss missFn) (int64, error) {
-	u := a.engine(pen, miss)
-	defer a.release(u)
-	return a.runPath(u.eng, fg, p, pen, true)
-}
-
-// worstPath returns the longest simPath time over paths.
-func (a *Analyzer) worstPath(fg *cfg.FuncGraph, paths []path, pen int64, miss missFn) (int64, error) {
-	worst := int64(0)
-	for _, p := range paths {
-		c, err := a.simPath(fg, p, pen, miss)
-		if err != nil {
-			return 0, err
-		}
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst, nil
-}
-
-// runPath feeds a path into eng. coldInner selects the charging context for
-// inner-loop and callee summaries.
-func (a *Analyzer) runPath(eng *simple.Pipeline, fg *cfg.FuncGraph, p path, pen int64, coldInner bool) (int64, error) {
+// walk feeds every path of t into u's engine, each from the engine's
+// state at entry, and calls leaf at each path's end. It feeds a prefix the
+// paths share once, checkpoints the engine where the tree branches, and
+// restores the checkpoint before the next branch; the simulation is
+// deterministic, so each leaf sees exactly the state a separate run of its
+// path from the entry state would reach. leaf may advance the engine (the
+// walk restores it), and u.path indexes the path's steps in t.ops while it
+// runs. coldInner selects the charging context for inner-loop and callee
+// summaries.
+func (a *Analyzer) walk(u *engUnit, fg *cfg.FuncGraph, t *pathTree, pen int64, coldInner bool, leaf func() error) error {
+	u.cps, u.path = u.cps[:0], u.path[:0]
+	u.save(0)
 	var d exec.DynInst
-	for _, s := range p.steps {
-		switch {
-		case s.loop >= 0:
-			cyc, err := a.loopTotal(fg, fg.Loops[s.loop], pen, coldInner)
-			if err != nil {
-				return 0, err
+	for i := range t.ops {
+		op := &t.ops[i]
+		switch op.kind {
+		case opStep:
+			if err := a.feed(u.eng, fg, op, &d, pen, coldInner); err != nil {
+				return err
 			}
-			eng.Rebase(eng.Now() + cyc)
-		case s.callee != "":
-			cyc, err := a.fnTotal(s.callee, pen)
-			if err != nil {
-				return 0, err
+			u.path = append(u.path, int32(i))
+			if op.save {
+				u.save(len(u.path))
 			}
-			eng.Rebase(eng.Now() + cyc)
-		default:
-			// Field writes, not a DynInst literal: the literal is built in
-			// a stack temporary and copied out, stalling on store
-			// forwarding. The other fields stay zero.
-			d.PC = int32(s.pc)
-			d.Inst = fg.Prog.Code[s.pc]
-			d.Taken = s.taken
-			eng.Feed(&d)
+		case opLeaf:
+			if err := leaf(); err != nil {
+				return err
+			}
+		case opBack:
+			depth := int(op.depth)
+			n := len(u.cps)
+			for u.cps[n-1].depth > depth {
+				n--
+			}
+			u.cps = u.cps[:n]
+			u.restore(&u.cps[n-1])
+			u.path = u.path[:depth]
 		}
 	}
-	return eng.Now(), nil
+	return nil
+}
+
+// worstFrom returns the longest completion time over t's paths, each fed
+// from u's current state, and releases u.
+func (a *Analyzer) worstFrom(u *engUnit, fg *cfg.FuncGraph, t *pathTree, pen int64, coldInner bool) (int64, error) {
+	defer a.release(u)
+	worst := int64(0)
+	err := a.walk(u, fg, t, pen, coldInner, func() error {
+		worst = max(worst, u.eng.Now())
+		return nil
+	})
+	return worst, err
+}
+
+// worstPath returns the longest time over t's paths from a drained pipeline
+// at cycle 0, charging first touches by miss.
+func (a *Analyzer) worstPath(fg *cfg.FuncGraph, t *pathTree, pen int64, miss missFn) (int64, error) {
+	return a.worstFrom(a.engine(pen, miss), fg, t, pen, true)
+}
+
+// runPath feeds the steps ops[i] for i in path into eng.
+func (a *Analyzer) runPath(eng *simple.Pipeline, fg *cfg.FuncGraph, ops []treeOp, path []int32, pen int64, coldInner bool) error {
+	var d exec.DynInst
+	for _, i := range path {
+		if err := a.feed(eng, fg, &ops[i], &d, pen, coldInner); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// feed feeds one step into eng, using d as its instruction buffer. Inner
+// loops and calls are charged their (memoized) summaries as drained
+// segments.
+func (a *Analyzer) feed(eng *simple.Pipeline, fg *cfg.FuncGraph, s *treeOp, d *exec.DynInst, pen int64, coldInner bool) error {
+	switch {
+	case s.loop >= 0:
+		cyc, err := a.loopTotal(fg, fg.Loops[s.loop], pen, coldInner)
+		if err != nil {
+			return err
+		}
+		eng.Rebase(eng.Now() + cyc)
+	case s.callee != "":
+		cyc, err := a.fnTotal(s.callee, pen)
+		if err != nil {
+			return err
+		}
+		eng.Rebase(eng.Now() + cyc)
+	default:
+		// Field writes, not a DynInst literal: the literal is built in a
+		// stack temporary and copied out, stalling on store forwarding.
+		// The other fields stay zero.
+		d.PC = s.pc
+		d.Inst = fg.Prog.Code[s.pc]
+		d.Taken = s.taken
+		eng.Feed(d)
+	}
+	return nil
 }
 
 // loopTotal returns the WCET in cycles of one complete execution of loop l:
@@ -497,58 +609,40 @@ func (a *Analyzer) loopTotal(fg *cfg.FuncGraph, l *cfg.Loop, pen int64, cold boo
 // states of all paths into a single pessimistic entry state, and re-time
 // each path from that state. The join is a componentwise upper bound of any
 // reachable inter-iteration state, so the resulting delta is safe for
-// arbitrary path interleavings.
-func (a *Analyzer) loopSteady(fg *cfg.FuncGraph, body []path, pen int64) (int64, simple.State, error) {
+// arbitrary path interleavings. The tree walk feeds each path's first
+// iteration; the repeats run at its leaf.
+func (a *Analyzer) loopSteady(fg *cfg.FuncGraph, body *pathTree, pen int64) (int64, simple.State, error) {
 	steady := int64(0)
 	join := simple.State{}
-	for _, p := range body {
-		u := a.engine(pen, missSteady(a))
-		prev := int64(0)
-		for rep := 0; rep < 4; rep++ {
-			if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
-				a.release(u)
-				return 0, join, err
+	u := a.engine(pen, missSteady(a))
+	err := a.walk(u, fg, body, pen, false, func() error {
+		prev := u.eng.Now()
+		for rep := 1; rep < 4; rep++ {
+			if err := a.runPath(u.eng, fg, body.ops, u.path, pen, false); err != nil {
+				return err
 			}
-			delta := u.eng.Now() - prev
+			steady = max(steady, u.eng.Now()-prev)
 			prev = u.eng.Now()
-			if rep > 0 && delta > steady {
-				steady = delta
-			}
 		}
 		join = join.Join(u.eng.State().Shifted(-u.eng.Now()))
-		a.release(u)
+		return nil
+	})
+	a.release(u)
+	if err != nil {
+		return 0, join, err
 	}
-	for _, p := range body {
-		u := a.engine(pen, missSteady(a))
-		u.eng.SetState(join)
-		if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
-			a.release(u)
-			return 0, join, err
-		}
-		if u.eng.Now() > steady {
-			steady = u.eng.Now()
-		}
-		a.release(u)
+	retimed, err := a.loopExit(fg, body, pen, join)
+	if err != nil {
+		return 0, join, err
 	}
-	return steady, join, nil
+	return max(steady, retimed), join, nil
 }
 
-// loopExit returns the worst exit path time from the joined steady state.
-func (a *Analyzer) loopExit(fg *cfg.FuncGraph, exits []path, pen int64, join simple.State) (int64, error) {
-	exit := int64(0)
-	for _, p := range exits {
-		u := a.engine(pen, missSteady(a))
-		u.eng.SetState(join)
-		if _, err := a.runPath(u.eng, fg, p, pen, false); err != nil {
-			a.release(u)
-			return 0, err
-		}
-		if u.eng.Now() > exit {
-			exit = u.eng.Now()
-		}
-		a.release(u)
-	}
-	return exit, nil
+// loopExit returns the worst time over paths from the joined steady state.
+func (a *Analyzer) loopExit(fg *cfg.FuncGraph, paths *pathTree, pen int64, join simple.State) (int64, error) {
+	u := a.engine(pen, missSteady(a))
+	u.eng.SetState(join)
+	return a.worstFrom(u, fg, paths, pen, false)
 }
 
 // fnTotal returns the cold WCET of one invocation of fn, from its entry to
@@ -575,16 +669,15 @@ func (a *Analyzer) fnTotal(fn string, pen int64) (int64, error) {
 	return worst, nil
 }
 
-func (a *Analyzer) pathsOf(fg *cfg.FuncGraph, l *cfg.Loop) (loopPathsVal, error) {
+func (a *Analyzer) pathsOf(fg *cfg.FuncGraph, l *cfg.Loop) (loopTrees, error) {
 	key := loopKey{fg.Fn.Name, l.ID}
 	if v, ok := a.pathsMemo[key]; ok {
 		return v, nil
 	}
-	body, exit, err := a.loopPaths(fg, l)
+	v, err := a.loopPaths(fg, l)
 	if err != nil {
-		return loopPathsVal{}, err
+		return loopTrees{}, err
 	}
-	v := loopPathsVal{body: body, exit: exit}
 	a.pathsMemo[key] = v
 	return v, nil
 }

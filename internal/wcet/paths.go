@@ -13,14 +13,38 @@ import (
 // than a silent approximation.
 const maxPaths = 16384
 
-// step is one element of an execution path: a concrete instruction (with
-// its branch direction on this path), an inner-loop summary, or a callee
-// summary. Loop and call summaries are timed as drained-pipeline segments.
-type step struct {
-	pc     int
+// treeOp is one element of a pathTree. An opStep is a concrete instruction
+// (with its branch direction on this path), an inner-loop summary, or a
+// callee summary; loop and call summaries are timed as drained-pipeline
+// segments. The enumerator's stack holds opSteps only.
+type treeOp struct {
+	callee string // opStep: callee function to summarize, or ""
+	pc     int32  // opStep: instruction index
+	loop   int32  // opStep: inner loop ID to summarize, or -1
+	depth  int32  // opBack: the depth the next path branches off at
+	kind   opKind
 	taken  bool
-	loop   int    // inner loop ID to summarize, or -1
-	callee string // callee function to summarize, or ""
+	save   bool // opStep: a later opBack returns to the depth after this step
+}
+
+// opKind is what a treeOp asks the walker to do.
+type opKind uint8
+
+const (
+	opStep opKind = iota // feed a step: the path goes one deeper
+	opLeaf               // a path ends here
+	opBack               // go back to depth, where the next path branches off
+)
+
+// pathTree is a path set stored as a prefix tree: paths that share a prefix
+// share its steps. It is serialized in the depth-first order the enumerator
+// visits it: each path's steps after the prefix it shares with the path
+// before it, an opLeaf, and an opBack before the next path. The step an
+// opBack returns past carries save, so a walker checkpoints exactly the
+// states it will come back to.
+type pathTree struct {
+	ops    []treeOp
+	leaves int // number of paths
 }
 
 // pathKind distinguishes how a path ends.
@@ -32,20 +56,48 @@ const (
 	pathRegion                 // region: start to next MARK / return / halt
 )
 
-type path struct {
-	steps []step
-	kind  pathKind
+// treeBuilder grows one pathTree from the enumerator's stack, copying only
+// the steps a path does not share with the path added before it.
+type treeBuilder struct {
+	pathTree
+	shared int     // leading stack steps equal to the last path added
+	at     []int32 // at[d]: index in ops of the last path's step at depth d
 }
 
-// enumerator performs the DFS path walks.
+// add appends stack as the tree's next path.
+func (b *treeBuilder) add(stack []treeOp) {
+	if b.leaves > 0 {
+		b.ops = append(b.ops, treeOp{kind: opBack, depth: int32(b.shared)})
+		if b.shared > 0 {
+			b.ops[b.at[b.shared-1]].save = true
+		}
+	}
+	b.at = b.at[:b.shared]
+	for _, s := range stack[b.shared:] {
+		b.at = append(b.at, int32(len(b.ops)))
+		b.ops = append(b.ops, s)
+	}
+	b.ops = append(b.ops, treeOp{kind: opLeaf})
+	b.leaves++
+	b.shared = len(stack)
+}
+
+// tree returns the built tree, detached from the builder's scratch state.
+func (b *treeBuilder) tree() *pathTree {
+	t := b.pathTree
+	return &t
+}
+
+// enumerator performs the DFS path walks, building one tree per path kind.
 type enumerator struct {
-	a     *Analyzer
-	fg    *cfg.FuncGraph
-	loop  *cfg.Loop // nil for function top level
-	stop  func(pc int) bool
-	prune bool // skip CFG edges the value analysis proved infeasible
-	out   []path
-	stack []step
+	a      *Analyzer
+	fg     *cfg.FuncGraph
+	loop   *cfg.Loop // nil for function top level
+	stop   func(pc int) bool
+	prune  bool           // skip CFG edges the value analysis proved infeasible
+	out    [3]treeBuilder // by pathKind
+	leaves int
+	stack  []treeOp
 }
 
 // deadSucc reports whether the edge from block bid to block sid should be
@@ -55,15 +107,37 @@ func (e *enumerator) deadSucc(bid, sid int) bool {
 }
 
 func (e *enumerator) emit(kind pathKind) error {
-	if len(e.out) >= maxPaths {
+	if e.leaves >= maxPaths {
 		return fmt.Errorf("wcet: %s: more than %d paths in one scope", e.fg.Fn.Name, maxPaths)
 	}
-	e.out = append(e.out, path{steps: append([]step(nil), e.stack...), kind: kind})
+	e.leaves++
+	e.out[kind].add(e.stack)
 	return nil
 }
 
-func (e *enumerator) push(s step) { e.stack = append(e.stack, s) }
-func (e *enumerator) popTo(n int) { e.stack = e.stack[:n] }
+func (e *enumerator) push(s treeOp) { e.stack = append(e.stack, s) }
+
+func (e *enumerator) popTo(n int) {
+	e.stack = e.stack[:n]
+	e.cut(n)
+}
+
+// setTaken records the branch direction of the top step. A changed step is
+// no longer shared with any tree's last path.
+func (e *enumerator) setTaken(taken bool) {
+	n := len(e.stack) - 1
+	if e.stack[n].taken != taken {
+		e.stack[n].taken = taken
+		e.cut(n)
+	}
+}
+
+// cut limits every tree's shared prefix to the stack's first n steps.
+func (e *enumerator) cut(n int) {
+	for i := range e.out {
+		e.out[i].shared = min(e.out[i].shared, n)
+	}
+}
 
 // walkBlock appends block b's instructions starting at fromPC and recurses
 // into successors. It returns an error only for structural problems.
@@ -78,7 +152,7 @@ func (e *enumerator) walkBlock(bid, fromPC int) error {
 			// Region boundary: the next MARK starts the next sub-task.
 			return e.emit(pathRegion)
 		}
-		e.push(step{pc: pc, loop: -1})
+		e.push(treeOp{pc: int32(pc), loop: -1})
 	}
 	last := prog.Code[b.LastPC()]
 
@@ -92,8 +166,8 @@ func (e *enumerator) walkBlock(bid, fromPC int) error {
 
 	// Calls: the callee runs between the JAL and the fall-through block.
 	if b.CallTo != "" {
-		e.stack[len(e.stack)-1].taken = true // the JAL itself
-		e.push(step{pc: b.LastPC(), loop: -1, callee: b.CallTo})
+		e.setTaken(true) // the JAL itself
+		e.push(treeOp{pc: int32(b.LastPC()), loop: -1, callee: b.CallTo})
 		if len(b.Succs) == 0 {
 			if e.loop != nil {
 				return e.emit(pathExit)
@@ -116,9 +190,9 @@ func (e *enumerator) walkBlock(bid, fromPC int) error {
 		}
 		// Record the branch direction this successor implies.
 		if last.Op.IsCondBranch() {
-			e.stack[len(e.stack)-1].taken = e.fg.Blocks[s].Start == int(last.Imm)
+			e.setTaken(e.fg.Blocks[s].Start == int(last.Imm))
 		} else if last.Op == isa.J || last.Op == isa.JAL {
-			e.stack[len(e.stack)-1].taken = true
+			e.setTaken(true)
 		}
 		if err := e.follow(s, b); err != nil {
 			return err
@@ -143,7 +217,7 @@ func (e *enumerator) follow(sid int, from *cfg.Block) error {
 	}
 	// Entering an inner loop?
 	if inner := e.innerLoopAt(sid); inner != nil {
-		e.push(step{pc: e.fg.Blocks[sid].Start, loop: inner.ID})
+		e.push(treeOp{pc: int32(e.fg.Blocks[sid].Start), loop: int32(inner.ID)})
 		for _, t := range e.loopExitTargets(inner) {
 			if e.loop != nil {
 				if t == e.loop.Header {
@@ -234,72 +308,70 @@ func sortInts(s []int) {
 	}
 }
 
-// loopPaths enumerates body and exit paths of loop l, starting at its
+// loopPaths enumerates the body and exit paths of loop l, starting at its
 // header. With value analysis, infeasible edges are pruned; if pruning
 // leaves a path class empty that the timing model needs, the unpruned
 // enumeration is used instead (sound, just looser).
-func (a *Analyzer) loopPaths(fg *cfg.FuncGraph, l *cfg.Loop) (body, exit []path, err error) {
-	body, exit, err = a.enumLoop(fg, l, a.valueRep != nil)
+func (a *Analyzer) loopPaths(fg *cfg.FuncGraph, l *cfg.Loop) (loopTrees, error) {
+	v, err := a.enumLoop(fg, l, a.valueRep != nil)
 	if err != nil {
-		return nil, nil, err
+		return loopTrees{}, err
 	}
-	if a.valueRep != nil && (len(body) == 0 || len(exit) == 0) {
-		body, exit, err = a.enumLoop(fg, l, false)
-		if err != nil {
-			return nil, nil, err
+	if a.valueRep != nil && (v.body.leaves == 0 || v.exit.leaves == 0) {
+		if v, err = a.enumLoop(fg, l, false); err != nil {
+			return loopTrees{}, err
 		}
 	}
-	if len(body) == 0 {
+	if v.body.leaves == 0 {
 		hb := fg.Blocks[l.Header]
-		return nil, nil, fmt.Errorf("wcet: %s: loop at pc %d has no body path", fg.Fn.Name, hb.Start)
+		return loopTrees{}, fmt.Errorf("wcet: %s: loop at pc %d has no body path", fg.Fn.Name, hb.Start)
 	}
-	return body, exit, nil
+	return v, nil
 }
 
-func (a *Analyzer) enumLoop(fg *cfg.FuncGraph, l *cfg.Loop, prune bool) (body, exit []path, err error) {
+func (a *Analyzer) enumLoop(fg *cfg.FuncGraph, l *cfg.Loop, prune bool) (loopTrees, error) {
 	e := &enumerator{a: a, fg: fg, loop: l, prune: prune}
 	hb := fg.Blocks[l.Header]
 	if err := e.walkBlock(l.Header, hb.Start); err != nil {
-		return nil, nil, err
+		return loopTrees{}, err
 	}
-	for _, p := range e.out {
-		switch p.kind {
-		case pathBody:
-			body = append(body, p)
-		case pathExit:
-			exit = append(exit, p)
-		default:
-			return nil, nil, fmt.Errorf("wcet: %s: sub-task MARK inside a loop is not supported", fg.Fn.Name)
-		}
+	if e.out[pathRegion].leaves > 0 {
+		return loopTrees{}, fmt.Errorf("wcet: %s: sub-task MARK inside a loop is not supported", fg.Fn.Name)
 	}
-	return body, exit, nil
+	return loopTrees{body: e.out[pathBody].tree(), exit: e.out[pathExit].tree()}, nil
 }
 
 // regionPaths enumerates paths from startPC to the next MARK boundary (when
 // stopAtMarks), a return, or a halt, at the top level of the function.
 // Pruning falls back to the unpruned walk if it leaves the region with no
-// path at all.
-func (a *Analyzer) regionPaths(fg *cfg.FuncGraph, startPC int, stopAtMarks bool) ([]path, error) {
+// path at all. The set does not depend on the operating point, so it is
+// enumerated once per analyzer.
+func (a *Analyzer) regionPaths(fg *cfg.FuncGraph, startPC int, stopAtMarks bool) (*pathTree, error) {
+	key := regionKey{fg.Fn.Name, startPC, stopAtMarks}
+	if t, ok := a.regionMemo[key]; ok {
+		return t, nil
+	}
 	var stop func(int) bool
 	if stopAtMarks {
 		stop = func(pc int) bool {
 			return pc != startPC && fg.Prog.Code[pc].Op == isa.MARK
 		}
 	}
-	walk := func(prune bool) ([]path, error) {
+	walk := func(prune bool) (*pathTree, error) {
 		e := &enumerator{a: a, fg: fg, stop: stop, prune: prune}
 		b := fg.BlockAt(startPC)
 		if err := e.walkBlock(b.ID, startPC); err != nil {
 			return nil, err
 		}
-		return e.out, nil
+		return e.out[pathRegion].tree(), nil
 	}
-	out, err := walk(a.valueRep != nil)
+	t, err := walk(a.valueRep != nil)
+	if err == nil && t.leaves == 0 && a.valueRep != nil {
+		t, err = walk(false)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 && a.valueRep != nil {
-		return walk(false)
-	}
-	return out, nil
+	a.regionMemo[key] = t
+	return t, nil
 }

@@ -34,7 +34,8 @@ func passCost(t *testing.T, a *Analyzer, fMHz int) int64 {
 // switch off. On adpcm the first pass simulates everything, a pass at a
 // second frequency re-simulates only the phases that read the miss
 // penalty, and a repeated frequency re-simulates only the sub-task region
-// paths (every loop and callee summary is a pen-keyed hit).
+// paths (every loop and callee summary is a pen-keyed hit). Each path set
+// is walked as a prefix tree, so a prefix its paths share counts once.
 func TestPenaltyInvariantReuseCounts(t *testing.T) {
 	an, err := New(mustProgram(t, clab.ByName("adpcm")))
 	if err != nil {
@@ -44,8 +45,8 @@ func TestPenaltyInvariantReuseCounts(t *testing.T) {
 		fMHz int
 		want int64
 	}{
-		{1000, 1878997},
-		{975, 313825},
+		{1000, 1127626},
+		{975, 63368},
 		{1000, 796},
 	} {
 		if got := passCost(t, an, step.fMHz); got != step.want {
@@ -64,5 +65,32 @@ func TestPenaltyInvariantReuseCounts(t *testing.T) {
 			t.Errorf("%s: second-frequency pass simulated %d of %d instructions, want < 1/4", b.Name, second, first)
 		}
 		t.Logf("%s: first pass %d, second pass %d (%.1f%%)", b.Name, first, second, 100*float64(second)/float64(first))
+	}
+}
+
+// TestAnalyzePassAllocs pins the allocations of one Analyze pass at a new
+// frequency on a warmed adpcm analyzer: its Result, the charging closures
+// of the phases it re-simulates, and the growth of the penalty-keyed memos.
+// Path sets come from the analyzer's memos, and the tree walks reuse the
+// pooled engines' checkpoint and path buffers, so neither allocates per
+// pass (re-enumerating the region and callee path sets every pass made it
+// 92).
+func TestAnalyzePassAllocs(t *testing.T) {
+	an, err := New(mustProgram(t, clab.ByName("adpcm")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.Analyze(1000); err != nil {
+		t.Fatal(err)
+	}
+	fMHz := 1000
+	allocs := testing.AllocsPerRun(20, func() {
+		fMHz += 10 // a new miss penalty every pass
+		if _, err := an.Analyze(fMHz); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 14 {
+		t.Errorf("Analyze pass at a new frequency: %v allocations, want at most 14", allocs)
 	}
 }

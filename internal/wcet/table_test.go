@@ -1,6 +1,7 @@
 package wcet_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -236,5 +237,95 @@ void main() {
 					prog.Name, pt.FMHz, got.Cycles[i], want.Cycles[i])
 			}
 		}
+	}
+}
+
+// TestTreeWalkMatchesPerPath: walking a path set as a prefix tree, with the
+// engine checkpointed at each branch, must time every path exactly as a run
+// of that path alone on a fresh engine would. Every phase of the six
+// benchmarks (plain and with value analysis) is checked at the penalty of
+// every point of the table and of the 1.5x table, and so is every phase of
+// a seeded corpus of generated programs, with and without the static
+// D-cache analysis. adpcm's reference is the expensive part (about 20 s of
+// CPU), so with -short it is checked at a few frequencies only.
+func TestTreeWalkMatchesPerPath(t *testing.T) {
+	var freqs []int
+	for _, pts := range [][]power.OperatingPoint{power.Points(), boostedPoints()} {
+		for _, pt := range pts {
+			freqs = append(freqs, pt.FMHz)
+		}
+	}
+	for _, b := range clab.All() {
+		prog, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfreqs := freqs
+		if b.Name == "adpcm" && testing.Short() {
+			bfreqs = []int{100, 125, 575, 1000, 1500}
+		}
+		for _, value := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/value=%v", b.Name, value), func(t *testing.T) {
+				t.Parallel()
+				var an *wcet.Analyzer
+				if value {
+					an, _, err = wcet.NewWithValueAnalysis(prog)
+				} else {
+					an, err = wcet.New(prog)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				an.CheckTreeWalk(t, bfreqs)
+			})
+		}
+	}
+
+	progs := []*isa.Program{minic.MustCompile("callinloop.c", callInLoopSrc)}
+	for seed := uint64(1); seed <= 100; seed++ {
+		prog, err := conform.GenProgram(seed).Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	for _, prog := range progs {
+		for _, static := range []bool{false, true} {
+			an, err := wcet.New(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if static {
+				if _, err := an.UseStaticDCache(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			an.CheckTreeWalk(t, freqs)
+		}
+	}
+}
+
+// BenchmarkBuildWCETTable times the 37-point WCET table of each C-lab
+// program, each iteration on a fresh analyzer: the per-program layer cost
+// of rt.NewSetup's table build. Analyzer construction is not timed.
+func BenchmarkBuildWCETTable(b *testing.B) {
+	for _, bench := range clab.All() {
+		prog, err := bench.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bench.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				an, err := wcet.New(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := core.BuildWCETTable(an); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
