@@ -72,11 +72,12 @@ tier-durable:
 # the percentile rules, BENCHMARK.json against the workload catalog and the
 # failure accounting, then smokes every workload (-quick), traced and
 # untraced, against the pinned goldens in bench/testdata. The WCET table
-# layer benchmark runs once, so its per-program cost stays reproducible
-# outside bench/.
+# and functional-execution layer benchmarks run once each, so their
+# per-program costs stay reproducible outside bench/.
 tier-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -run '^$$' -bench BuildWCETTable -benchtime 1x ./internal/wcet/
+	$(GO) test -run '^$$' -bench '^BenchmarkFill$$' -benchtime 1x ./internal/exec/
 
 # Tier results: the full reproduction (every table and figure at 200
 # instances) must print results_full.txt byte for byte.

@@ -155,6 +155,8 @@ func (m *Machine) stepInto(d *DynInst) (bool, error) {
 // reload and spill machine fields around it on every instruction, which the
 // batched loop pays only once per batch. execute reads the PC through
 // d.PC, never through the machine, keeping the locals authoritative.
+//
+//visa:hotpath
 func (m *Machine) Fill(dst []DynInst) (int, error) {
 	if m.Halted {
 		return 0, nil
@@ -168,6 +170,7 @@ func (m *Machine) Fill(dst []DynInst) (int, error) {
 				m.Halted = true
 				return n, nil
 			}
+			//visa:allow(hotalloc): fault path, taken at most once per run
 			return n, &ExecError{pc, seq, fmt.Errorf("pc out of range")}
 		}
 		in := code[pc]
@@ -175,6 +178,7 @@ func (m *Machine) Fill(dst []DynInst) (int, error) {
 		d.start(seq, int32(pc), in)
 		if err := m.execute(in, d); err != nil {
 			m.PC, m.Seq = pc, seq
+			//visa:allow(hotalloc): fault path, taken at most once per run
 			return n, &ExecError{pc, seq, err}
 		}
 		m.R[0] = 0
@@ -356,11 +360,14 @@ func (m *Machine) execute(in isa.Inst, d *DynInst) error {
 		d.NextPC = rs
 	case isa.MARK:
 	case isa.OUT:
+		//visa:allow(hotalloc): the program's output slice, grown per OUT record (TestFillAllocs pins it)
 		m.Out = append(m.Out, rs)
 	case isa.OUTF:
+		//visa:allow(hotalloc): the program's output slice, grown per OUTF record (TestFillAllocs pins it)
 		m.OutF = append(m.OutF, m.F[in.Rs])
 	case isa.HALT:
 	default:
+		//visa:allow(hotalloc): fault path, taken at most once per run
 		return fmt.Errorf("unimplemented opcode %s", in.Op.Name())
 	}
 	return nil

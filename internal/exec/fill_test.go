@@ -14,7 +14,7 @@ import (
 
 // fillBatchSizes covers a one-record batch, a size that never divides the
 // stream evenly, the harness's batch and a batch larger than it.
-var fillBatchSizes = []int{1, 7, 64, 256}
+var fillBatchSizes = []int{1, 7, 64, 300}
 
 // fillCall is one Fill call's outcome.
 type fillCall struct {
@@ -23,7 +23,7 @@ type fillCall struct {
 }
 
 // drain calls fill with n-record batches until it reports a halt or a
-// fault, and then once more, so a reader that mishandles the end of its
+// fault, and then once more, so a machine that mishandles the end of its
 // stream shows up as a difference in that extra call.
 func drain(fill func([]exec.DynInst) (int, error), n int) []fillCall {
 	var calls []fillCall
@@ -50,13 +50,27 @@ func sameErr(a, b error) bool {
 	return ea.PC == eb.PC && ea.Seq == eb.Seq && ea.Err.Error() == eb.Err.Error()
 }
 
-// checkRoundTrip records prog's run (after prep, if any, seeds the fresh
-// machine) and asserts that replaying the trace matches a live machine call
-// for call at every batch size. It returns the live run's terminal error.
-func checkRoundTrip(t *testing.T, prog *isa.Program, prep func(*exec.Machine) error) error {
+// stepStream is the one-record-per-call reference: m's records taken by
+// Step until it halts or faults, and the terminal error (nil at a halt).
+func stepStream(m *exec.Machine) ([]exec.DynInst, error) {
+	var recs []exec.DynInst
+	for {
+		d, ok, err := m.Step()
+		if err != nil || !ok {
+			return recs, err
+		}
+		recs = append(recs, d)
+	}
+}
+
+// checkFillBatches runs prog (after prep, if any, seeds the machine) one
+// record per Step call, then asserts that Fill at every batch size, on a
+// fresh machine and again after Reset, gives the same records in full
+// batches, then the short batch and the terminal error, then (0, that
+// error) once more. It returns the reference run's terminal error.
+func checkFillBatches(t *testing.T, prog *isa.Program, prep func(*exec.Machine) error) error {
 	t.Helper()
-	machine := func() *exec.Machine {
-		m := exec.New(prog)
+	ready := func(m *exec.Machine) *exec.Machine {
 		if prep != nil {
 			if err := prep(m); err != nil {
 				t.Fatal(err)
@@ -64,66 +78,72 @@ func checkRoundTrip(t *testing.T, prog *isa.Program, prep func(*exec.Machine) er
 		}
 		return m
 	}
-	tr, err := exec.Record(machine())
-	if err != nil {
-		t.Fatalf("%s: Record: %v", prog.Name, err)
-	}
-	var terminal error
+	want, terminal := stepStream(ready(exec.New(prog)))
 	for _, bs := range fillBatchSizes {
-		live := drain(machine().Fill, bs)
-		rd := tr.NewReader()
-		replay := drain(rd.Fill, bs)
-		if len(live) != len(replay) {
-			t.Fatalf("%s/batch %d: %d live Fill calls, %d replayed", prog.Name, bs, len(live), len(replay))
-		}
-		var total int
-		for c := range live {
-			l, r := live[c], replay[c]
-			if len(l.recs) != len(r.recs) || !sameErr(l.err, r.err) {
-				t.Fatalf("%s/batch %d call %d: live (%d, %v), replay (%d, %v)",
-					prog.Name, bs, c, len(l.recs), l.err, len(r.recs), r.err)
+		m := ready(exec.New(prog))
+		for _, run := range []string{"fresh", "reset"} {
+			if run == "reset" {
+				m.Reset()
+				ready(m)
 			}
-			for k := range l.recs {
-				if l.recs[k] != r.recs[k] {
-					t.Fatalf("%s/batch %d record %d: live %+v, replay %+v",
-						prog.Name, bs, total+k, l.recs[k], r.recs[k])
+			calls := drain(m.Fill, bs)
+			full := len(want) / bs
+			if len(calls) != full+2 {
+				t.Fatalf("%s/batch %d/%s: %d Fill calls for %d records, want %d",
+					prog.Name, bs, run, len(calls), len(want), full+2)
+			}
+			var total int
+			for c, call := range calls {
+				wantN, wantErr := bs, error(nil)
+				switch c {
+				case full:
+					wantN, wantErr = len(want)%bs, terminal
+				case full + 1:
+					wantN, wantErr = 0, terminal
 				}
+				if len(call.recs) != wantN || !sameErr(call.err, wantErr) {
+					t.Fatalf("%s/batch %d/%s call %d: (%d, %v), want (%d, %v)",
+						prog.Name, bs, run, c, len(call.recs), call.err, wantN, wantErr)
+				}
+				for k, d := range call.recs {
+					if d != want[total+k] {
+						t.Fatalf("%s/batch %d/%s record %d: Fill %+v, Step %+v",
+							prog.Name, bs, run, total+k, d, want[total+k])
+					}
+				}
+				total += len(call.recs)
 			}
-			total += len(l.recs)
 		}
-		if total != tr.Len() {
-			t.Fatalf("%s/batch %d: %d records, trace has %d", prog.Name, bs, total, tr.Len())
-		}
-		terminal = live[len(live)-1].err
 	}
 	return terminal
 }
 
-func TestTraceRoundTripBenchmarks(t *testing.T) {
+func TestFillBatchesBenchmarks(t *testing.T) {
 	for _, b := range clab.All() {
 		prog, err := b.Program()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := checkRoundTrip(t, prog, nil); err != nil {
+		if err := checkFillBatches(t, prog, nil); err != nil {
 			t.Errorf("%s faulted: %v", b.Name, err)
 		}
 	}
-	// A seeded input is a different stream, recorded from the seeded machine.
+	// A seeded input is a different stream; Reset drops the seed, so it is
+	// applied again after each Reset.
 	prog, err := clab.Cnt.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRoundTrip(t, prog, func(m *exec.Machine) error { return clab.SetSeed(m, 4242) })
+	checkFillBatches(t, prog, func(m *exec.Machine) error { return clab.SetSeed(m, 4242) })
 }
 
-func TestTraceRoundTripGenerated(t *testing.T) {
+func TestFillBatchesGenerated(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		prog, err := conform.GenProgram(seed).Program()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRoundTrip(t, prog, nil)
+		checkFillBatches(t, prog, nil)
 	}
 }
 
@@ -143,7 +163,7 @@ func countedSrc(k int, tail string) string {
 	return b.String()
 }
 
-func TestTraceRoundTripFaults(t *testing.T) {
+func TestFillBatchesFaults(t *testing.T) {
 	tails := map[string]string{
 		"misaligned-load":  "    lw r3, 2(r6)\n    halt\n",
 		"misaligned-store": "    sd f1, 4(r6)\n    halt\n",
@@ -153,25 +173,25 @@ func TestTraceRoundTripFaults(t *testing.T) {
 	for name, tail := range tails {
 		for k := 1; k <= 70; k++ {
 			prog := isa.MustAssemble(fmt.Sprintf("%s-%d", name, k), countedSrc(k, tail))
-			if err := checkRoundTrip(t, prog, nil); err == nil {
+			if err := checkFillBatches(t, prog, nil); err == nil {
 				t.Fatalf("%s (k=%d) did not fault", name, k)
 			}
 		}
 	}
 	// A fault on the very first instruction leaves an empty stream.
 	prog := isa.MustAssemble("first-faults", ".text\n.func main\n    lw r3, 2(r0)\n    halt\n.endfunc\n")
-	if err := checkRoundTrip(t, prog, nil); err == nil {
+	if err := checkFillBatches(t, prog, nil); err == nil {
 		t.Fatal("first-faults did not fault")
 	}
 }
 
-func TestTraceRoundTripHalts(t *testing.T) {
+func TestFillBatchesHalts(t *testing.T) {
 	// Both ways a run ends cleanly, with the last record landing on every
 	// position relative to each batch size.
 	for _, tail := range []string{"    halt\n", "    ret\n"} {
 		for k := 1; k <= 70; k++ {
 			prog := isa.MustAssemble(fmt.Sprintf("halt-%d", k), countedSrc(k, tail))
-			if err := checkRoundTrip(t, prog, nil); err != nil {
+			if err := checkFillBatches(t, prog, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -209,9 +229,9 @@ helper:
 .endfunc
 `
 
-func TestTraceRoundTripComputedJumps(t *testing.T) {
+func TestFillBatchesComputedJumps(t *testing.T) {
 	prog := isa.MustAssemble("computed", computedJumpSrc)
-	if err := checkRoundTrip(t, prog, nil); err != nil {
+	if err := checkFillBatches(t, prog, nil); err != nil {
 		t.Fatal(err)
 	}
 	m := exec.New(prog)
@@ -223,9 +243,9 @@ func TestTraceRoundTripComputedJumps(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTripBranchToNext(t *testing.T) {
+func TestFillBatchesBranchToNext(t *testing.T) {
 	// A taken branch whose target is its own fall-through: NextPC is PC+1
-	// and Taken is still true, which the encoding must not conflate.
+	// and Taken is still true, which the record must not conflate.
 	prog := isa.MustAssemble("branch-next", `
 .text
 .func main
@@ -235,21 +255,16 @@ next:
     halt
 .endfunc
 `)
-	checkRoundTrip(t, prog, nil)
-	tr, err := exec.Record(exec.New(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := tr.NewReader()
+	checkFillBatches(t, prog, nil)
 	var dst [4]exec.DynInst
-	if n, err := rd.Fill(dst[:]); n != 3 || err != nil {
+	if n, err := exec.New(prog).Fill(dst[:]); n != 3 || err != nil {
 		t.Fatalf("Fill = %d, %v; want 3 records and a halt", n, err)
 	}
 	if d := dst[0]; !d.Taken || d.NextPC != d.PC+1 {
-		t.Fatalf("branch to PC+1 replayed as %+v", d)
+		t.Fatalf("branch to PC+1 recorded as %+v", d)
 	}
 	if d := dst[1]; d.Taken || d.NextPC != d.PC+1 {
-		t.Fatalf("untaken branch replayed as %+v", d)
+		t.Fatalf("untaken branch recorded as %+v", d)
 	}
 }
 
@@ -267,7 +282,7 @@ func benchPrograms(b *testing.B) []*isa.Program {
 }
 
 // BenchmarkFill times live execution of all six benchmarks in 64-record
-// batches, as the harness runs a task with a varied input seed.
+// batches, as the harness runs a task.
 func BenchmarkFill(b *testing.B) {
 	progs := benchPrograms(b)
 	machines := make([]*exec.Machine, len(progs))
@@ -283,39 +298,6 @@ func BenchmarkFill(b *testing.B) {
 			m.Reset()
 			for {
 				n, err := m.Fill(dst[:])
-				insts += int64(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n < len(dst) {
-					break
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-}
-
-// BenchmarkReplay times replaying the six benchmarks' recorded streams in
-// 64-record batches, as the harness runs a task on its recorded input.
-func BenchmarkReplay(b *testing.B) {
-	var traces []*exec.Trace
-	for _, p := range benchPrograms(b) {
-		tr, err := exec.Record(exec.New(p))
-		if err != nil {
-			b.Fatal(err)
-		}
-		traces = append(traces, tr)
-	}
-	var dst [64]exec.DynInst
-	var insts int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		for _, tr := range traces {
-			rd := tr.NewReader()
-			for {
-				n, err := rd.Fill(dst[:])
 				insts += int64(n)
 				if err != nil {
 					b.Fatal(err)

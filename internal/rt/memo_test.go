@@ -184,7 +184,6 @@ func TestMemoHitAllocs(t *testing.T) {
 	}
 	allocs := func(memo bool) float64 {
 		ps := newProcSim(s.Prog, ProcComplex, plan.Spec.FMHz)
-		ps.trace = s.trace
 		if memo {
 			ps.memo = &taskMemo{}
 		}

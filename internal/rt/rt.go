@@ -104,11 +104,6 @@ type Setup struct {
 	SteadyComplexCycles int64
 	DynInsts            int64
 
-	// trace is the benchmark's committed stream on its built-in input
-	// (seed 0), recorded once here; every task on that input replays it
-	// instead of executing (see procSim.start).
-	trace *exec.Trace
-
 	mu         sync.Mutex // guards the boosted-table cache
 	boosted    *core.WCETTable
 	boostedAdv float64
@@ -157,18 +152,13 @@ func buildSetup(b *clab.Benchmark) (*Setup, error) {
 // every operating point.
 func NewSetup(an *wcet.Analyzer) (*Setup, error) {
 	prog := an.Prog
-	trace, err := exec.Record(exec.New(prog))
-	if err != nil {
-		return nil, err
-	}
 
 	// Profile on the simple pipeline at 1 GHz. The first (cold) run yields
 	// the per-sub-task D-cache miss pad — the paper's trace-derived
 	// padding, which must cover the worst (cold) case. A steady-state run
 	// supplies the Table 3 "actual time" values, since the paper's task is
-	// periodic. All four profile runs replay the recorded trace.
+	// periodic. All four profile runs execute the built-in input (seed 0).
 	sim := newProcSim(prog, ProcSimpleFixed, 1000)
-	sim.trace = trace
 	cold, err := sim.profile()
 	if err != nil {
 		return nil, err
@@ -187,7 +177,6 @@ func NewSetup(an *wcet.Analyzer) (*Setup, error) {
 	}
 
 	cx := newProcSim(prog, ProcComplex, 1000)
-	cx.trace = trace
 	if _, err := cx.profile(); err != nil {
 		return nil, err
 	}
@@ -204,8 +193,7 @@ func NewSetup(an *wcet.Analyzer) (*Setup, error) {
 		DPad:                cold.dMisses,
 		SteadySimpleCycles:  warm.totalCycles,
 		SteadyComplexCycles: cxWarm.totalCycles,
-		DynInsts:            int64(trace.Len()),
-		trace:               trace,
+		DynInsts:            cold.insts,
 	}
 	return s, nil
 }
@@ -251,14 +239,19 @@ func (s *Setup) WCETSeedPETs() []float64 {
 	return pets
 }
 
-// profileResult is a single-instance cold run.
+// maxProfileInsts caps a profile run. A program still running past it
+// fails its set-up with a *exec.BudgetError instead of profiling forever.
+const maxProfileInsts = 1 << 26
+
+// profileResult is a single-instance run.
 type profileResult struct {
 	totalCycles int64
+	insts       int64 // dynamic instructions executed
 	dMisses     []int64
 }
 
-// profile runs one task instance on the recorded input and collects its
-// cycles and per-sub-task D-cache misses.
+// profile runs one task instance on the built-in input and collects its
+// cycles, instruction count and per-sub-task D-cache misses.
 func (ps *procSim) profile() (*profileResult, error) {
 	if err := ps.start(0); err != nil {
 		return nil, err
@@ -269,7 +262,11 @@ func (ps *procSim) profile() (*profileResult, error) {
 	var lastDC cache.Stats
 	var batch [64]exec.DynInst
 	for {
-		n, err := ps.fill(batch[:])
+		n, err := ps.machine.Fill(batch[:])
+		res.insts += int64(n)
+		if res.insts > maxProfileInsts {
+			return nil, &exec.BudgetError{Limit: maxProfileInsts}
+		}
 		for bi := range batch[:n] {
 			d := &batch[bi]
 			if d.Inst.Op == isa.MARK {

@@ -1,9 +1,15 @@
 package rt
 
 import (
+	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"visa/internal/clab"
+	"visa/internal/exec"
+	"visa/internal/isa"
+	"visa/internal/wcet"
 )
 
 const testInstances = 40
@@ -289,5 +295,92 @@ func TestBoostedTable(t *testing.T) {
 	// Same work completes faster at boosted frequency.
 	if bt.TotalTimeNs(0) >= s.Table.TotalTimeNs(0) {
 		t.Error("boosted table not faster")
+	}
+}
+
+// TestDynInstsMatchLiveRun: a set-up's instruction count is what a fresh
+// machine executes on the built-in input, record for record.
+func TestDynInstsMatchLiveRun(t *testing.T) {
+	var batch [64]exec.DynInst
+	for _, b := range clab.All() {
+		s, err := GetSetup(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := exec.New(s.Prog)
+		var recs int64
+		for {
+			n, err := m.Fill(batch[:])
+			recs += int64(n)
+			if err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
+			}
+			if n < len(batch) {
+				break
+			}
+		}
+		if recs != s.DynInsts {
+			t.Errorf("%s: a live run has %d records, set-up counts %d", b.Name, recs, s.DynInsts)
+		}
+	}
+}
+
+// TestNewSetupNonHaltingProgram: a program that never halts fails its
+// set-up with a *exec.BudgetError once a profile run passes its cap.
+func TestNewSetupNonHaltingProgram(t *testing.T) {
+	if raceEnabled {
+		t.Skip("profiles 2^26 instructions; single-goroutine, so -race adds nothing")
+	}
+	prog := isa.MustAssemble("spin", `
+.text
+.func main
+    mark 0
+loop:
+    beq r0, r0, loop   #bound 4
+    halt
+.endfunc
+`)
+	an, err := wcet.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSetup(an)
+	var be *exec.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("NewSetup = %v, want *exec.BudgetError", err)
+	}
+}
+
+// TestSharedSetupConcurrentRuns runs one Setup from several goroutines at
+// once, as engine workers do; under -race it checks that a run never
+// writes to the shared set-up.
+func TestSharedSetupConcurrentRuns(t *testing.T) {
+	s, err := GetSetup(clab.ByName("cnt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Tight: true, Instances: 5}
+	want, err := RunProcessor(s, ProcComplex, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*ProcResult, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunProcessor(s, ProcComplex, cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("goroutine %d: %+v, want %+v", i, got[i], want)
+		}
 	}
 }

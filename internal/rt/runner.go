@@ -30,13 +30,6 @@ type procSim struct {
 	inject *fault.Injector
 	budget int64
 
-	// trace, when set, is the program's recorded seed-0 stream. A task on
-	// that input reads its records from reader (replay is true) instead of
-	// executing on machine.
-	trace  *exec.Trace
-	reader exec.Reader
-	replay bool
-
 	// events is the current task's accounting and recorder log (see
 	// taskEvent); memo, when set, serves tasks whose start state it has
 	// seen (see taskMemo).
@@ -61,31 +54,14 @@ func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
 	return ps
 }
 
-// start readies the functional stream for one task instance on input
-// seed: a replay of the recorded trace when there is one for that input,
-// else a reset (and seeded) live machine.
+// start readies the functional machine for one task instance on input
+// seed: reset, then seeded unless seed is the built-in input (0).
 func (ps *procSim) start(seed int32) error {
-	ps.replay = ps.trace != nil && seed == 0
-	if ps.replay {
-		ps.reader = ps.trace.NewReader()
-		return nil
-	}
 	ps.machine.Reset()
 	if seed != 0 {
 		return clab.SetSeed(ps.machine, seed)
 	}
 	return nil
-}
-
-// fill writes the task's next batch of records into dst, with
-// exec.Machine.Fill's contract whichever source start chose.
-//
-//visa:hotpath
-func (ps *procSim) fill(dst []exec.DynInst) (int, error) {
-	if ps.replay {
-		return ps.reader.Fill(dst)
-	}
-	return ps.machine.Fill(dst)
 }
 
 func (ps *procSim) now() int64 {
@@ -275,7 +251,7 @@ func (ps *procSim) runTask(plan *core.Plan, seed int32) (taskResult, error) {
 	// before surfacing ferr times exactly what executed.
 	var batch [64]exec.DynInst
 	for {
-		n, ferr := ps.fill(batch[:])
+		n, ferr := ps.machine.Fill(batch[:])
 		for bi := 0; bi < n; bi++ {
 			d := &batch[bi]
 			if d.Inst.Op == isa.MARK {
@@ -399,7 +375,6 @@ func runProcessor(s *Setup, proc Proc, cfg Config, hook memoHook) (*ProcResult, 
 
 	acct := &power.Accounting{Profile: profile, Standby: cfg.Standby}
 	ps := newProcSim(s.Prog, kind, plan.Spec.FMHz)
-	ps.trace = s.trace
 	ps.budget = cfg.CycleBudget
 	if cfg.Fault != nil {
 		inj, err := fault.New(*cfg.Fault)
