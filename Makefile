@@ -71,12 +71,13 @@ tier-durable:
 # module, so the root `go test ./...` never reaches it. The suite checks
 # the percentile rules, BENCHMARK.json against the workload catalog and the
 # failure accounting, then smokes every workload (-quick), traced and
-# untraced, against the pinned goldens in bench/testdata. The WCET table
-# and functional-execution layer benchmarks run once each, so their
-# per-program costs stay reproducible outside bench/.
+# untraced, against the pinned goldens in bench/testdata. The WCET table,
+# value-analysis and functional-execution layer benchmarks run once each,
+# so their per-program costs stay reproducible outside bench/.
 tier-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -run '^$$' -bench BuildWCETTable -benchtime 1x ./internal/wcet/
+	$(GO) test -run '^$$' -bench ValueAnalysis -benchtime 1x ./internal/absint/
 	$(GO) test -run '^$$' -bench '^BenchmarkFill$$' -benchtime 1x ./internal/exec/
 
 # Tier results: the full reproduction (every table and figure at 200

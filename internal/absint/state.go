@@ -1,6 +1,11 @@
 package absint
 
-import "visa/internal/isa"
+import (
+	"math/bits"
+	"slices"
+
+	"visa/internal/isa"
+)
 
 // Analysis limits. They bound work and map sizes; exceeding any of them
 // degrades precision (toward Top / unknown bounds), never soundness.
@@ -47,28 +52,53 @@ type origin struct {
 	c  cell
 }
 
-// memEntry is one tracked cell and its interval. A valid Interval lies
-// inside int32, so the bounds are stored narrow to keep entries at 16 bytes.
-type memEntry struct {
-	k      cell
-	lo, hi int32
+// pageCells is the number of word cells on one memory page: a page covers
+// one 128-byte span of one keyspace.
+const pageCells = 32
+
+// pageKey is the key of the page holding k: k with its word-in-page index
+// (address bits 2-6, key bits 3-7) cleared. Cells are word-aligned, so
+// key bits 1-2 are always clear.
+func (k cell) pageKey() cell { return k &^ ((pageCells - 1) << 3) }
+
+// slot is k's word index on its page.
+func (k cell) slot() int { return int(k>>3) & (pageCells - 1) }
+
+// word is one tracked cell's interval. A valid Interval lies inside int32,
+// so the bounds are stored narrow.
+type word struct{ lo, hi int32 }
+
+func newWord(v Interval) word { return word{int32(v.Lo), int32(v.Hi)} }
+
+func (w word) val() Interval { return Interval{int64(w.lo), int64(w.hi)} }
+
+// page holds the tracked cells of one 128-byte span: bit j of set marks
+// cells[j] present. Absent cells stay zero, so two pages compare as values.
+// A page reachable from a state is never written; a write copies the page.
+type page struct {
+	set   uint32
+	cells [pageCells]word
 }
 
-func newEntry(k cell, v Interval) memEntry { return memEntry{k, int32(v.Lo), int32(v.Hi)} }
-
-func (e memEntry) val() Interval { return Interval{int64(e.lo), int64(e.hi)} }
+// pageRef is one directory entry: a page and its key.
+type pageRef struct {
+	k cell
+	p *page
+}
 
 // state is the abstract machine state at one program point: an interval
 // (plus SP-relative flag) per integer register and a partial map of memory
-// cells, held as a slice sorted by cell key. Absent cells are Top. The
-// memory slice is shared copy-on-write between states cloned from one
-// another.
+// cells. Absent cells are Top. The memory is a directory of non-empty pages
+// sorted by key. States cloned from one another share the directory
+// copy-on-write and share pages for good, so a store copies one page (and
+// the directory, when shared) instead of every tracked cell.
 type state struct {
 	live   bool
 	regs   [32]Val
 	orig   [32]origin
-	mem    []memEntry
-	shared bool
+	dir    []pageRef
+	shared bool // dir is shared with another state
+	cells  int  // tracked cells over all pages
 }
 
 func newState() state {
@@ -80,22 +110,22 @@ func newState() state {
 	return s
 }
 
-// clone returns a state sharing the memory slice copy-on-write.
+// clone returns a state sharing the memory directory copy-on-write.
 func (s *state) clone() state {
 	c := *s
-	if c.mem != nil {
+	if c.dir != nil {
 		c.shared = true
 		s.shared = true
 	}
 	return c
 }
 
-// own gives s a private copy of a shared memory slice before a write.
+// own gives s a private copy of a shared directory before a write.
 func (s *state) own() {
 	if !s.shared {
 		return
 	}
-	s.mem = append([]memEntry(nil), s.mem...)
+	s.dir = slices.Clone(s.dir)
 	s.shared = false
 }
 
@@ -137,71 +167,122 @@ func (s *state) clearOriginsAt(k cell) {
 	}
 }
 
-// find returns the index of k in the sorted memory slice, or the index at
-// which it would be inserted, and whether it is present.
+// findPage returns the index of page key k in the directory, or the index
+// at which it would be inserted, and whether it is present.
 //
 //visa:hotpath
-func (s *state) find(k cell) (int, bool) {
-	lo, hi := 0, len(s.mem)
+func (s *state) findPage(k cell) (int, bool) {
+	lo, hi := 0, len(s.dir)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if s.mem[m].k < k {
+		if s.dir[m].k < k {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(s.mem) && s.mem[lo].k == k
+	return lo, lo < len(s.dir) && s.dir[lo].k == k
 }
 
 //visa:hotpath
 func (s *state) getCell(k cell) Interval {
-	if i, ok := s.find(k); ok {
-		return s.mem[i].val()
+	if i, ok := s.findPage(k.pageKey()); ok {
+		if p, j := s.dir[i].p, k.slot(); p.set&(1<<j) != 0 {
+			return p.cells[j].val()
+		}
 	}
 	return Full()
 }
 
 // setCell writes one cell. Writing the value the cell already holds is a
-// no-op and so never copies a shared slice.
+// no-op and so copies nothing.
 func (s *state) setCell(k cell, v Interval) {
-	i, found := s.find(k)
+	pk, j := k.pageKey(), k.slot()
+	i, found := s.findPage(pk)
+	var old *page
+	if found {
+		old = s.dir[i].p
+	}
+	has := old != nil && old.set&(1<<j) != 0
 	switch {
-	case found && s.mem[i].val() == v:
+	case has && old.cells[j].val() == v:
 		return
-	case found && v.IsFull():
-		s.own()
-		s.mem = append(s.mem[:i], s.mem[i+1:]...)
-	case found:
-		s.own()
-		s.mem[i] = newEntry(k, v)
-	case v.IsFull(), len(s.mem) >= maxTrackedCells:
+	case !has && (v.IsFull() || s.cells >= maxTrackedCells):
 		return // Top is absent; at capacity new cells silently widen to Top
-	default:
+	case has && v.IsFull() && old.set == 1<<j:
 		s.own()
-		s.mem = append(s.mem, memEntry{})
-		copy(s.mem[i+1:], s.mem[i:])
-		s.mem[i] = newEntry(k, v)
+		s.dir = slices.Delete(s.dir, i, i+1)
+		s.cells--
+		return
+	}
+	p := new(page)
+	if found {
+		*p = *old
+	}
+	switch {
+	case v.IsFull():
+		p.set &^= 1 << j
+		p.cells[j] = word{}
+		s.cells--
+	case !has:
+		p.set |= 1 << j
+		s.cells++
+		fallthrough
+	default:
+		p.cells[j] = newWord(v)
+	}
+	s.own()
+	if found {
+		s.dir[i].p = p
+	} else {
+		s.dir = slices.Insert(s.dir, i, pageRef{pk, p})
 	}
 }
 
 // dropCells removes every tracked cell for which keep returns false.
 func (s *state) dropCells(keep func(cell) bool) {
-	i := 0
-	for i < len(s.mem) && keep(s.mem[i].k) {
-		i++
-	}
-	if i == len(s.mem) {
-		return
-	}
-	s.own()
-	kept := s.mem[:i]
-	for _, e := range s.mem[i+1:] {
-		if keep(e.k) {
-			kept = append(kept, e)
+	var kept []pageRef
+	changed := false
+	for i, e := range s.dir {
+		set := e.p.set
+		for m := set; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros32(m)
+			if !keep(e.k + cell(j<<3)) {
+				set &^= 1 << j
+			}
+		}
+		if set == e.p.set {
+			if changed {
+				kept = append(kept, e)
+			}
+			continue
+		}
+		if !changed {
+			changed = true
+			if s.shared {
+				kept = append(make([]pageRef, 0, len(s.dir)), s.dir[:i]...)
+			} else {
+				kept = s.dir[:i] // filter in place: writes trail reads
+			}
+		}
+		s.cells -= bits.OnesCount32(e.p.set &^ set)
+		if set != 0 {
+			p := new(page)
+			p.set = set
+			for m := set; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros32(m)
+				p.cells[j] = e.p.cells[j]
+			}
+			kept = append(kept, pageRef{e.k, p})
 		}
 	}
-	s.mem = kept
+	if !changed {
+		return
+	}
+	if len(kept) == 0 {
+		kept = nil
+	}
+	s.dir, s.shared = kept, false
 }
 
 // eq reports whether two states carry identical abstract information.
@@ -217,35 +298,37 @@ func (s *state) eq(o *state) bool {
 	if s.regs != o.regs || s.orig != o.orig {
 		return false
 	}
-	if len(s.mem) != len(o.mem) {
+	if s.cells != o.cells || len(s.dir) != len(o.dir) {
 		return false
 	}
-	for i := range s.mem {
-		if s.mem[i] != o.mem[i] {
+	for i, a := range s.dir {
+		b := o.dir[i]
+		if a.k != b.k || a.p != b.p && *a.p != *b.p {
 			return false
 		}
 	}
 	return true
 }
 
-// sameMem reports whether two states hold the very same memory slice, so
-// that a cell-wise join or widening of them is the slice itself.
-func sameMem(a, b *state) bool {
-	return len(a.mem) == len(b.mem) && (len(a.mem) == 0 || &a.mem[0] == &b.mem[0])
+// sameDir reports whether two states hold the very same directory, so that
+// a cell-wise join or widening of them is the directory itself.
+func sameDir(a, b *state) bool {
+	return len(a.dir) == len(b.dir) && (len(a.dir) == 0 || &a.dir[0] == &b.dir[0])
 }
 
 // mergeMem builds r's memory from the cells present in both a and b,
 // combined by f; cells whose combination is Top are dropped. Identical
-// slices are shared instead, as f(v, v) == v for join and widening.
+// directories and pages are shared instead, as f(v, v) == v for join and
+// widening.
 func mergeMem(r, a, b *state, f func(x, y Interval) Interval) {
-	if sameMem(a, b) {
-		if a.mem != nil {
-			r.mem = a.mem
+	if sameDir(a, b) {
+		if a.dir != nil {
+			r.dir, r.cells = a.dir, a.cells
 			r.shared, a.shared, b.shared = true, true, true
 		}
 		return
 	}
-	x, y := a.mem, b.mem
+	x, y := a.dir, b.dir
 	for len(x) > 0 && len(y) > 0 {
 		switch {
 		case x[0].k < y[0].k:
@@ -253,15 +336,44 @@ func mergeMem(r, a, b *state, f func(x, y Interval) Interval) {
 		case x[0].k > y[0].k:
 			y = y[1:]
 		default:
-			if v := f(x[0].val(), y[0].val()); !v.IsFull() {
-				if r.mem == nil {
-					r.mem = make([]memEntry, 0, min(len(x), len(y)))
+			if p := mergePage(x[0].p, y[0].p, f); p != nil {
+				if r.dir == nil {
+					r.dir = make([]pageRef, 0, min(len(x), len(y)))
 				}
-				r.mem = append(r.mem, newEntry(x[0].k, v))
+				r.dir = append(r.dir, pageRef{x[0].k, p})
+				r.cells += bits.OnesCount32(p.set)
 			}
 			x, y = x[1:], y[1:]
 		}
 	}
+}
+
+// mergePage combines the cells present on both pages by f, dropping those
+// whose combination is Top. It returns nil for an empty result, and an
+// operand itself when the result equals it.
+func mergePage(a, b *page, f func(x, y Interval) Interval) *page {
+	if a == b {
+		return a
+	}
+	var p page
+	for m := a.set & b.set; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros32(m)
+		if v := f(a.cells[j].val(), b.cells[j].val()); !v.IsFull() {
+			p.set |= 1 << j
+			p.cells[j] = newWord(v)
+		}
+	}
+	switch {
+	case p.set == 0:
+		return nil
+	case p == *a:
+		return a
+	case p == *b:
+		return b
+	}
+	np := new(page)
+	*np = p
+	return np
 }
 
 // join computes the least upper bound of two states. Memory keys surviving

@@ -39,11 +39,11 @@ func TestRunTaskAllocBudget(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	// cnt's instance makes 3: the aets slice, and the growth of the output
-	// slices that Reset hands the machine fresh. The budget leaves room for
-	// the protocol closures; anything above it means a cycle-proportional
-	// allocation crept back into the feed path.
-	const budget = 8
+	// cnt's instance makes 1: the aets slice (procSim.start keeps the
+	// machine's output arrays across Reset, so their growth is gone). The
+	// budget leaves room for the protocol closures; anything above it means
+	// a cycle-proportional allocation crept back into the feed path.
+	const budget = 3
 	if allocs > budget {
 		t.Errorf("runTask allocates %.1f per steady-state instance, budget %d", allocs, budget)
 	}

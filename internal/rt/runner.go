@@ -55,9 +55,14 @@ func newProcSim(prog *isa.Program, kind Proc, fMHz int) *procSim {
 }
 
 // start readies the functional machine for one task instance on input
-// seed: reset, then seeded unless seed is the built-in input (0).
+// seed: reset, then seeded unless seed is the built-in input (0). Nothing
+// in rt reads a task's outputs, so the machine keeps its previous output
+// arrays, truncated, instead of the fresh ones Reset hands it.
 func (ps *procSim) start(seed int32) error {
-	ps.machine.Reset()
+	m := ps.machine
+	out, outF := m.Out[:0], m.OutF[:0]
+	m.Reset()
+	m.Out, m.OutF = out, outF
 	if seed != 0 {
 		return clab.SetSeed(ps.machine, seed)
 	}

@@ -43,6 +43,10 @@ type Analyzer struct {
 	// static D-cache analysis uses proven access ranges.
 	valueRep *absint.Report
 
+	// callees names the functions path trees summarize; a treeOp holds an
+	// index into it, not the name.
+	callees []string
+
 	pathsMemo  map[loopKey]loopTrees
 	regionMemo map[regionKey]*pathTree
 	sumMemo    map[sumKey]summary
@@ -185,6 +189,17 @@ func (a *Analyzer) SetDCachePad(misses []int64) error {
 	}
 	copy(a.dcPad, misses)
 	return nil
+}
+
+// calleeID returns name's index in a.callees, adding it on first use.
+func (a *Analyzer) calleeID(name string) int32 {
+	for i, n := range a.callees {
+		if n == name {
+			return int32(i)
+		}
+	}
+	a.callees = append(a.callees, name)
+	return int32(len(a.callees) - 1)
 }
 
 // Analyze computes per-sub-task WCETs in cycles at fMHz.
@@ -516,8 +531,8 @@ func (a *Analyzer) feed(eng *simple.Pipeline, fg *cfg.FuncGraph, s *treeOp, d *e
 			return err
 		}
 		eng.Rebase(eng.Now() + cyc)
-	case s.callee != "":
-		cyc, err := a.fnTotal(s.callee, pen)
+	case s.callee >= 0:
+		cyc, err := a.fnTotal(a.callees[s.callee], pen)
 		if err != nil {
 			return err
 		}

@@ -17,11 +17,13 @@ const maxPaths = 16384
 // (with its branch direction on this path), an inner-loop summary, or a
 // callee summary; loop and call summaries are timed as drained-pipeline
 // segments. The enumerator's stack holds opSteps only.
+//
+// A treeOp holds no pointers, so the GC never scans a tree's ops.
 type treeOp struct {
-	callee string // opStep: callee function to summarize, or ""
-	pc     int32  // opStep: instruction index
-	loop   int32  // opStep: inner loop ID to summarize, or -1
-	depth  int32  // opBack: the depth the next path branches off at
+	pc     int32 // opStep: instruction index
+	loop   int32 // opStep: inner loop ID to summarize, or -1
+	callee int32 // opStep: Analyzer.callees index of the function to summarize, or -1
+	depth  int32 // opBack: the depth the next path branches off at
 	kind   opKind
 	taken  bool
 	save   bool // opStep: a later opBack returns to the depth after this step
@@ -152,7 +154,7 @@ func (e *enumerator) walkBlock(bid, fromPC int) error {
 			// Region boundary: the next MARK starts the next sub-task.
 			return e.emit(pathRegion)
 		}
-		e.push(treeOp{pc: int32(pc), loop: -1})
+		e.push(treeOp{pc: int32(pc), loop: -1, callee: -1})
 	}
 	last := prog.Code[b.LastPC()]
 
@@ -167,7 +169,7 @@ func (e *enumerator) walkBlock(bid, fromPC int) error {
 	// Calls: the callee runs between the JAL and the fall-through block.
 	if b.CallTo != "" {
 		e.setTaken(true) // the JAL itself
-		e.push(treeOp{pc: int32(b.LastPC()), loop: -1, callee: b.CallTo})
+		e.push(treeOp{pc: int32(b.LastPC()), loop: -1, callee: e.a.calleeID(b.CallTo)})
 		if len(b.Succs) == 0 {
 			if e.loop != nil {
 				return e.emit(pathExit)
@@ -217,7 +219,7 @@ func (e *enumerator) follow(sid int, from *cfg.Block) error {
 	}
 	// Entering an inner loop?
 	if inner := e.innerLoopAt(sid); inner != nil {
-		e.push(treeOp{pc: int32(e.fg.Blocks[sid].Start), loop: int32(inner.ID)})
+		e.push(treeOp{pc: int32(e.fg.Blocks[sid].Start), loop: int32(inner.ID), callee: -1})
 		for _, t := range e.loopExitTargets(inner) {
 			if e.loop != nil {
 				if t == e.loop.Header {

@@ -107,7 +107,7 @@ func checkBranches(tb testing.TB, fg *cfg.FuncGraph, what string, t *pathTree, p
 		for i := 0; i+1 < len(p); i++ {
 			s, next := &t.ops[p[i]], &t.ops[p[i+1]]
 			in := fg.Prog.Code[s.pc]
-			if s.loop >= 0 || s.callee != "" || !in.Op.IsCondBranch() {
+			if s.loop >= 0 || s.callee >= 0 || !in.Op.IsCondBranch() {
 				continue
 			}
 			if s.taken != (int(next.pc) == int(in.Imm)) {
