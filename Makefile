@@ -28,8 +28,8 @@ fmt-check:
 # core protocol plus the full rt and obs suites (worker pool, GetSetup
 # memoization, record buffers, coalescing sinks), the value analysis
 # (concurrent Analyze on one graph, per-call scratch) and the conformance
-# oracle (each Check builds its own model set, so a set shared across
-# engine workers shows up here). The race runtime is ~15x slower than
+# oracle (each Check takes a model set from a shared free list and owns it
+# until it returns, so a set shared across engine workers shows up here). The race runtime is ~15x slower than
 # native, hence the explicit timeout.
 tier-race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/rt/... ./internal/obs/... ./internal/absint/... ./internal/conform/...
@@ -72,13 +72,15 @@ tier-durable:
 # the percentile rules, BENCHMARK.json against the workload catalog and the
 # failure accounting, then smokes every workload (-quick), traced and
 # untraced, against the pinned goldens in bench/testdata. The WCET table,
-# value-analysis and functional-execution layer benchmarks run once each,
-# so their per-program costs stay reproducible outside bench/.
+# value-analysis, functional-execution and conformance-oracle layer
+# benchmarks run once each, so their per-program costs stay reproducible
+# outside bench/.
 tier-bench:
 	cd bench && $(GO) test ./...
 	$(GO) test -run '^$$' -bench BuildWCETTable -benchtime 1x ./internal/wcet/
 	$(GO) test -run '^$$' -bench ValueAnalysis -benchtime 1x ./internal/absint/
 	$(GO) test -run '^$$' -bench '^BenchmarkFill$$' -benchtime 1x ./internal/exec/
+	$(GO) test -run '^$$' -bench '^BenchmarkCheck$$' -benchtime 1x ./internal/conform/
 
 # Tier results: the full reproduction (every table and figure at 200
 # instances) must print results_full.txt byte for byte.

@@ -3,6 +3,7 @@ package conform
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"visa/internal/cache"
 	"visa/internal/exec"
@@ -85,11 +86,13 @@ func (r *Result) violate(invariant, format string, args ...any) {
 
 // streamHash folds the functional retirement stream into one word, so
 // divergence anywhere in a multi-million-instruction trace is caught
-// without storing it. It starts at streamBasis and folds each DynInst
-// field as one 64-bit word v by x' = rotl((x^v)·hashMul, 31)·hashFin.
-// Both multipliers are odd, so for a fixed word the step is a bijection of
-// the state, and for a fixed state it is injective in the word: two
-// streams that differ in exactly one word always hash differently.
+// without storing it. It starts at streamBasis and folds each DynInst as
+// three 64-bit words v — Seq; PC | NextPC<<32; Addr | Op<<32 | Taken<<48 —
+// by x' = rotl((x^v)·hashMul, 31)·hashFin. The packing is injective, so a
+// change to any one field changes exactly one word. Both multipliers are
+// odd, so for a fixed word the step is a bijection of the state, and for a
+// fixed state it is injective in the word: two streams that differ in
+// exactly one word always hash differently.
 type streamHash uint64
 
 const (
@@ -103,16 +106,13 @@ func (h *streamHash) word(v uint64) {
 }
 
 func (h *streamHash) add(d *exec.DynInst) {
-	h.word(uint64(d.Seq))
-	h.word(uint64(d.PC))
-	h.word(uint64(d.Inst.Op))
-	h.word(uint64(d.Addr))
+	var taken uint64
 	if d.Taken {
-		h.word(1)
-	} else {
-		h.word(0)
+		taken = 1
 	}
-	h.word(uint64(d.NextPC))
+	h.word(uint64(d.Seq))
+	h.word(uint64(uint32(d.PC)) | uint64(uint32(d.NextPC))<<32)
+	h.word(uint64(d.Addr) | uint64(d.Inst.Op)<<32 | taken<<48)
 }
 
 // funcTrace is what one driving run observed of the functional machine.
@@ -145,16 +145,40 @@ func (a funcTrace) equal(b funcTrace) bool {
 	return true
 }
 
-// stepBudget wraps Machine.Step with the instruction budget.
+func budgetError(m *exec.Machine, maxInsts int64) error {
+	return fmt.Errorf("conform: %s: no halt within %d instructions", m.Prog.Name, maxInsts)
+}
+
+// stepBudget wraps Machine.Step with the instruction budget: the
+// instruction that takes the count past maxInsts is an error.
 func stepBudget(m *exec.Machine, maxInsts int64) (exec.DynInst, bool, error) {
 	d, ok, err := m.Step()
 	if err != nil {
 		return d, false, err
 	}
 	if ok && m.Seq > maxInsts {
-		return d, false, fmt.Errorf("conform: %s: no halt within %d instructions", m.Prog.Name, maxInsts)
+		return d, false, budgetError(m, maxInsts)
 	}
 	return d, ok, nil
+}
+
+// batchSize is the number of records one fillBudget call asks Fill for.
+const batchSize = 64
+
+// fillBudget is stepBudget for a batch: it fills dst from m, never past
+// the instruction that takes the count to maxInsts+1, so an over-budget
+// run reports the budget error, or a fault at or before that instruction,
+// exactly as stepping one instruction at a time would. n == 0 with a nil
+// error means the program halted.
+func fillBudget(m *exec.Machine, dst *[batchSize]exec.DynInst, maxInsts int64) (int, error) {
+	n, err := m.Fill(dst[:min(batchSize, maxInsts+1-m.Seq)])
+	if err != nil {
+		return 0, err
+	}
+	if m.Seq > maxInsts {
+		return 0, budgetError(m, maxInsts)
+	}
+	return n, nil
 }
 
 // funcRun executes the program on the functional machine m alone, from
@@ -174,18 +198,21 @@ func funcRun(m *exec.Machine, maxInsts int64) (funcTrace, error) {
 }
 
 // models is the hardware one Check call drives: the functional machine,
-// the two L1 caches, the memory bus and the simple pipeline, built once
-// per program, plus the complex pipeline over the same caches and bus,
-// built by the first mode-switch run. Each run first resets what it drives
-// to the state its constructor leaves, so a run on reused models observes
-// exactly what it would on fresh ones, without allocating a 64 KiB memory
-// page, two caches or the complex core's predictor tables per run.
+// the two L1 caches, the memory bus and the simple pipeline, plus the
+// complex pipeline over the same caches and bus, built by the first
+// mode-switch run, and the record batch the timing runs fill. Each run
+// first resets what it drives to the state its constructor leaves, so a
+// run on reused models observes exactly what it would on fresh ones,
+// without allocating a 64 KiB memory page, two caches or the complex
+// core's predictor tables per run. A model set outlives its Check: it goes
+// back to freeModels for the next program.
 type models struct {
 	m      *exec.Machine
 	ic, dc *cache.Cache
 	bus    *memsys.Bus
 	simple *simple.Pipeline
 	ooo    *ooo.Pipeline
+	batch  [batchSize]exec.DynInst
 }
 
 func newModels(prog *isa.Program) *models {
@@ -193,6 +220,37 @@ func newModels(prog *isa.Program) *models {
 	dc := cache.MustNew(cache.VISAL1)
 	bus := memsys.NewBus(memsys.Default, 1000)
 	return &models{m: exec.New(prog), ic: ic, dc: dc, bus: bus, simple: simple.New(ic, dc, bus)}
+}
+
+// freeModels holds the model sets no Check is using, so a campaign keeps
+// one set per concurrent Check instead of building one per program. It is
+// a plain free list, not a sync.Pool: a pool drops its sets at every GC,
+// and rebuilding them raised the campaign's resident memory.
+var freeModels struct {
+	mu   sync.Mutex
+	sets []*models
+}
+
+// acquireModels returns a model set bound to prog, in its fresh state.
+func acquireModels(prog *isa.Program) *models {
+	freeModels.mu.Lock()
+	n := len(freeModels.sets)
+	if n == 0 {
+		freeModels.mu.Unlock()
+		return newModels(prog)
+	}
+	ms := freeModels.sets[n-1]
+	freeModels.sets = freeModels.sets[:n-1]
+	freeModels.mu.Unlock()
+	ms.m.Prog = prog
+	ms.m.Reset()
+	return ms
+}
+
+func releaseModels(ms *models) {
+	freeModels.mu.Lock()
+	defer freeModels.mu.Unlock()
+	freeModels.sets = append(freeModels.sets, ms)
 }
 
 // reset puts the machine, the caches and the bus in their fresh state,
@@ -291,29 +349,32 @@ func driveSimple(ms *models, mhz int, spec *fault.Spec, maxInsts int64) (*simple
 	var lastBoundary int64
 	var lastDC cache.Stats
 	for {
-		d, ok, err := stepBudget(m, maxInsts)
+		n, err := fillBudget(m, &ms.batch, maxInsts)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if d.Inst.Op == isa.MARK {
-			now := p.Now()
-			if cur >= 0 {
-				o.subCycles[cur] = now - lastBoundary
-				o.dMisses[cur] = dc.Stats().Delta(lastDC).Misses
+		for i := range ms.batch[:n] {
+			d := &ms.batch[i]
+			if d.Inst.Op == isa.MARK {
+				now := p.Now()
+				if cur >= 0 {
+					o.subCycles[cur] = now - lastBoundary
+					o.dMisses[cur] = dc.Stats().Delta(lastDC).Misses
+				}
+				cur = int(d.Inst.Imm)
+				lastBoundary = now
+				lastDC = dc.Stats()
 			}
-			cur = int(d.Inst.Imm)
-			lastBoundary = now
-			lastDC = dc.Stats()
+			h.add(d)
+			if d.Inst.Op.IsMem() && d.Addr < isa.MMIOBase {
+				o.memOps++
+			}
+			p.Feed(d)
 		}
-		h.add(&d)
-		if d.Inst.Op.IsMem() && d.Addr < isa.MMIOBase {
-			o.memOps++
-		}
-		p.Feed(&d)
-		o.fed++
+		o.fed += int64(n)
 	}
 	if cur >= 0 {
 		o.subCycles[cur] = p.Now() - lastBoundary
@@ -364,34 +425,37 @@ func driveSwitch(ms *models, mhz, switchMark int, spec *fault.Spec, maxInsts int
 	cur := -1
 	var lastBoundary int64
 	for {
-		d, ok, err := stepBudget(m, maxInsts)
+		n, err := fillBudget(m, &ms.batch, maxInsts)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if d.Inst.Op == isa.MARK {
-			now := p.Now()
-			if switched && cur >= 0 {
-				o.subCycles[cur] = now - lastBoundary
+		for i := range ms.batch[:n] {
+			d := &ms.batch[i]
+			if d.Inst.Op == isa.MARK {
+				now := p.Now()
+				if switched && cur >= 0 {
+					o.subCycles[cur] = now - lastBoundary
+				}
+				cur = int(d.Inst.Imm)
+				lastBoundary = now
+				if cur == switchMark && !switched {
+					o.switchAt = now
+					o.start = p.SwitchToSimple(now)
+					o.nowAfter = p.Now()
+					lastBoundary = o.start
+					switched = true
+				}
 			}
-			cur = int(d.Inst.Imm)
-			lastBoundary = now
-			if cur == switchMark && !switched {
-				o.switchAt = now
-				o.start = p.SwitchToSimple(now)
-				o.nowAfter = p.Now()
-				lastBoundary = o.start
-				switched = true
+			h.add(d)
+			rt := p.Feed(d)
+			if switched && o.firstRetire < 0 {
+				o.firstRetire = rt
 			}
 		}
-		h.add(&d)
-		rt := p.Feed(&d)
-		o.fed++
-		if switched && o.firstRetire < 0 {
-			o.firstRetire = rt
-		}
+		o.fed += int64(n)
 	}
 	if !switched {
 		return nil, fmt.Errorf("conform: %s: switch mark %d never executed", m.Prog.Name, switchMark)
@@ -409,6 +473,18 @@ func specName(spec *fault.Spec) string {
 		return "no-fault"
 	}
 	return spec.String()
+}
+
+// runLabel names one timing run in a violation ("simple/600MHz/no-fault").
+// It is formatted only when a check fails, so a clean run builds no string.
+type runLabel struct {
+	kind string
+	mhz  int
+	spec *fault.Spec
+}
+
+func (l runLabel) String() string {
+	return fmt.Sprintf("%s/%dMHz/%s", l.kind, l.mhz, specName(l.spec))
 }
 
 // Check sweeps one program through every model and reports the invariant
@@ -444,15 +520,18 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 
 	res := &Result{Name: prog.Name, SubTasks: prog.NumSubTasks(), Points: len(points)}
 
-	// I1 seed: the functional reference, run twice on fresh machines, and
-	// once more on the second machine after Machine.Reset, which every
-	// timing run below relies on.
+	// I1 seed: the functional reference on a fresh machine, run again on
+	// the model set's machine (fresh, or reset from an earlier program),
+	// and once more on it after Machine.Reset, which every timing run below
+	// relies on. The reference steps one instruction at a time and the
+	// timing runs fill batches, so I1 also checks Fill against Step.
 	ref, err := funcRun(exec.New(prog), maxInsts)
 	if err != nil {
 		return nil, err
 	}
 	res.DynInsts = ref.seq
-	ms := newModels(prog)
+	ms := acquireModels(prog)
+	defer releaseModels(ms)
 	again, err := funcRun(ms.m, maxInsts)
 	if err != nil {
 		return nil, err
@@ -516,7 +595,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 				return nil, err
 			}
 			res.Runs++
-			label := fmt.Sprintf("simple/%dMHz/%s", f, specName(spec))
+			label := runLabel{"simple", f, spec}
 			checkStream(res, label, ref, o.trace)
 			checkSimpleAccounting(res, label, o)
 			checkBound(res, label, o.subCycles, o.total, b)
@@ -535,7 +614,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 			return nil, err
 		}
 		res.Runs++
-		label := fmt.Sprintf("ooo-switch/%dMHz/%s", switchMHz, specName(spec))
+		label := runLabel{"ooo-switch", switchMHz, spec}
 		checkStream(res, label, ref, o.trace)
 		checkSwitch(res, label, o, b)
 	}
@@ -544,7 +623,7 @@ func Check(prog *isa.Program, opt Options) (*Result, error) {
 
 // checkStream asserts I1: the run consumed the same functional stream as
 // the reference.
-func checkStream(res *Result, label string, ref, got funcTrace) {
+func checkStream(res *Result, label runLabel, ref, got funcTrace) {
 	if !ref.equal(got) {
 		res.violate("I1", "%s: functional stream diverged from reference: %d vs %d insts, hash %x vs %x, %d vs %d outs",
 			label, got.seq, ref.seq, got.hash, ref.hash, len(got.out), len(ref.out))
@@ -554,7 +633,7 @@ func checkStream(res *Result, label string, ref, got funcTrace) {
 // checkSimpleAccounting asserts the simple pipeline's I4 identities: every
 // fed instruction retires and makes exactly one I-cache access, and every
 // memory op makes exactly one D-cache access.
-func checkSimpleAccounting(res *Result, label string, o *simpleObs) {
+func checkSimpleAccounting(res *Result, label runLabel, o *simpleObs) {
 	if o.retired != o.fed {
 		res.violate("I4", "%s: retired %d != fed %d", label, o.retired, o.fed)
 	}
@@ -568,7 +647,7 @@ func checkSimpleAccounting(res *Result, label string, o *simpleObs) {
 
 // checkBound asserts I2: observed time never exceeds the static bound,
 // sub-task by sub-task and in total.
-func checkBound(res *Result, label string, subCycles []int64, total int64, b *wcet.Result) {
+func checkBound(res *Result, label runLabel, subCycles []int64, total int64, b *wcet.Result) {
 	for k, got := range subCycles {
 		if got > b.SubTasks[k] {
 			res.violate("I2", "%s: sub-task %d observed %d cycles > WCET %d",
@@ -583,7 +662,7 @@ func checkBound(res *Result, label string, subCycles []int64, total int64, b *wc
 // checkSwitch asserts I3 (the EQ 2 overhead is charged exactly once and
 // post-switch sub-tasks fit their bounds) and the complex core's I4
 // conservation identities.
-func checkSwitch(res *Result, label string, o *switchObs, b *wcet.Result) {
+func checkSwitch(res *Result, label runLabel, o *switchObs, b *wcet.Result) {
 	if want := o.switchAt + o.ovhd; o.start != want {
 		res.violate("I3", "%s: switch at cycle %d returned origin %d, want %d (overhead %d)",
 			label, o.switchAt, o.start, want, o.ovhd)

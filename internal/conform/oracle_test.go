@@ -1,9 +1,14 @@
 package conform
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"visa/internal/exec"
 	"visa/internal/fault"
+	"visa/internal/isa"
 	"visa/internal/ooo"
 	"visa/internal/wcet"
 )
@@ -164,7 +169,7 @@ func TestCheckSwitchAccounting(t *testing.T) {
 
 	check := func(o *switchObs) *Result {
 		res := &Result{}
-		checkSwitch(res, "t", o, bound)
+		checkSwitch(res, runLabel{"ooo-switch", 1000, nil}, o, bound)
 		return res
 	}
 	if res := check(good()); len(res.Violations) != 0 {
@@ -201,5 +206,87 @@ func TestCheckSwitchAccounting(t *testing.T) {
 	o.subCycles[1] = 101
 	if res := check(o); res.Failed("I3") {
 		t.Errorf("restart cycle not allowed: %v", res.Violations)
+	}
+}
+
+// TestCheckBudgetEdge: the batched timing runs keep the instruction
+// budget's edge where one-at-a-time stepping puts it. A program that runs
+// past MaxInsts and faults three instructions later fails with the budget
+// error from Check and from both timing drivers, although the fault lies in
+// the same 64-record batch; a program that halts after exactly MaxInsts
+// instructions passes, and one instruction less is a budget error.
+func TestCheckBudgetEdge(t *testing.T) {
+	prog := isa.MustAssemble("budget-edge", `
+.text
+.func main
+    mark 0
+    addi r1, r1, 1
+    addi r1, r1, 1
+    addi r1, r1, 1
+    addi r1, r1, 1
+    mark 1
+    addi r1, r1, 1
+    addi r1, r1, 1
+    addi r1, r1, 1
+    addi r1, r1, 1
+    lw r2, 2(r0)
+    halt
+.endfunc`)
+	m := exec.New(prog)
+	var execErr *exec.ExecError
+	for {
+		if _, _, err := m.Step(); err != nil {
+			if !errors.As(err, &execErr) {
+				t.Fatalf("program fails with %v, want an exec fault", err)
+			}
+			break
+		}
+	}
+	if _, err := driveSimple(newModels(prog), 1000, nil, DefaultMaxInsts); !errors.As(err, &execErr) {
+		t.Fatalf("unbounded simple run: %v, want the exec fault", err)
+	}
+	budget := execErr.Seq - 3
+	want := fmt.Sprintf("conform: budget-edge: no halt within %d instructions", budget)
+	if _, err := Check(prog, Options{MaxInsts: budget}); err == nil || err.Error() != want {
+		t.Errorf("Check: %v, want %q", err, want)
+	}
+	if _, err := driveSimple(newModels(prog), 1000, nil, budget); err == nil || err.Error() != want {
+		t.Errorf("driveSimple: %v, want %q", err, want)
+	}
+	if _, err := driveSwitch(newModels(prog), 1000, 1, nil, budget); err == nil || err.Error() != want {
+		t.Errorf("driveSwitch: %v, want %q", err, want)
+	}
+
+	gen, _ := anchorProgram(t, 0)
+	opt := Options{Points: []int{1000}, Faults: DefaultFaults(1)}
+	res, err := Check(gen, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DynInsts <= batchSize {
+		t.Fatalf("anchor program runs %d instructions, too few to span a batch", res.DynInsts)
+	}
+	opt.MaxInsts = res.DynInsts
+	exact, err := Check(gen, opt)
+	if err != nil {
+		t.Fatalf("Check with MaxInsts equal to the program's %d instructions: %v", res.DynInsts, err)
+	}
+	if !reflect.DeepEqual(exact, res) {
+		t.Errorf("Check at the exact budget reports %+v, want %+v", exact, res)
+	}
+	short := res.DynInsts - 1
+	want = fmt.Sprintf("conform: %s: no halt within %d instructions", gen.Name, short)
+	opt.MaxInsts = short
+	if _, err := Check(gen, opt); err == nil || err.Error() != want {
+		t.Errorf("Check one instruction short: %v, want %q", err, want)
+	}
+	if _, err := driveSimple(newModels(gen), 1000, nil, short); err == nil || err.Error() != want {
+		t.Errorf("driveSimple one instruction short: %v, want %q", err, want)
+	}
+	if _, err := driveSwitch(newModels(gen), 1000, gen.NumSubTasks()/2, nil, short); err == nil || err.Error() != want {
+		t.Errorf("driveSwitch one instruction short: %v, want %q", err, want)
+	}
+	if _, err := driveSwitch(newModels(gen), 1000, gen.NumSubTasks()/2, nil, res.DynInsts); err != nil {
+		t.Errorf("driveSwitch at the exact budget: %v", err)
 	}
 }

@@ -11,36 +11,58 @@ import (
 )
 
 // anchorProgram returns program i of the seed-1 campaign corpus.
-func anchorProgram(t *testing.T, i int) (*isa.Program, uint64) {
-	t.Helper()
+func anchorProgram(tb testing.TB, i int) (*isa.Program, uint64) {
+	tb.Helper()
 	seed := Campaign{Seed: 1}.ProgramSeed(i)
 	prog, err := GenProgram(seed).Program()
 	if err != nil {
-		t.Fatalf("program %d (seed %#x): %v", i, seed, err)
+		tb.Fatalf("program %d (seed %#x): %v", i, seed, err)
 	}
 	return prog, seed
 }
 
 // TestModelReuseShadow: a run on one model set reused across every run of
-// a program observes exactly what the same run observes on freshly built
-// models. It sweeps the seed-1 anchor corpus at every DVS point, with no
-// fault and under each DefaultFaults spec, alternating simple and
-// mode-switch runs so each pipeline starts after the other has dirtied the
-// shared caches, bus and machine.
+// a program, and across programs, observes exactly what the same run
+// observes on freshly built models. It walks the seed-1 anchor corpus on
+// the model set Check takes from and returns to the free list, so every
+// program after the first runs on the set the previous program left: at
+// every DVS point, with no fault and under each DefaultFaults spec,
+// alternating simple and mode-switch runs so each pipeline starts after
+// the other has dirtied the shared caches, bus and machine. Every other
+// program leaves the set as a Check does that stops with an error partway
+// through a run: a budget error mid-way through a simple and then a
+// mode-switch run.
 func TestModelReuseShadow(t *testing.T) {
 	programs := 40
 	if testing.Short() {
 		programs = 8
 	}
+	var last *models
 	for i := 0; i < programs; i++ {
 		prog, seed := anchorProgram(t, i)
+		shared := acquireModels(prog)
+		if last != nil && shared != last {
+			t.Fatalf("program %d: the free list did not hand back the set program %d released", i, i-1)
+		}
+		// Check's first run on the set is a functional run with no reset.
+		want, err := funcRun(exec.New(prog), DefaultMaxInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := funcRun(shared.m, DefaultMaxInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.equal(got) {
+			t.Fatalf("program %d: functional run on an acquired set ran %d insts, hash %x; a fresh machine ran %d, hash %x",
+				i, got.seq, got.hash, want.seq, want.hash)
+		}
 		specs := []*fault.Spec{nil}
 		faults := DefaultFaults(seed)
 		for j := range faults {
 			specs = append(specs, &faults[j])
 		}
 		switchMark := prog.NumSubTasks() / 2
-		shared := newModels(prog)
 		for _, pt := range power.Points() {
 			for _, spec := range specs {
 				fresh, err := driveSimple(newModels(prog), pt.FMHz, spec, DefaultMaxInsts)
@@ -69,6 +91,17 @@ func TestModelReuseShadow(t *testing.T) {
 				}
 			}
 		}
+		if i%2 == 1 {
+			half := want.seq / 2
+			if _, err := driveSimple(shared, 1000, nil, half); err == nil {
+				t.Fatalf("program %d: simple run within %d of %d instructions did not fail", i, half, want.seq)
+			}
+			if _, err := driveSwitch(shared, 1000, switchMark, &faults[1], half); err == nil {
+				t.Fatalf("program %d: switch run within %d of %d instructions did not fail", i, half, want.seq)
+			}
+		}
+		releaseModels(shared)
+		last = shared
 	}
 }
 
@@ -156,4 +189,49 @@ func TestStreamHashSensitive(t *testing.T) {
 	if hash() != base {
 		t.Fatal("stream not restored")
 	}
+}
+
+// TestCheckBytes pins what one Check allocates on warm pooled models: the
+// fresh reference machine's two 64 KiB memory pages, the WCET analyzer and
+// the run observations, and no model set. It measured 175 KB; building a
+// model set per program cost 720 KB and fails this pin.
+func TestCheckBytes(t *testing.T) {
+	prog, seed := anchorProgram(t, 0)
+	opt := Options{Faults: DefaultFaults(seed)}
+	if _, err := Check(prog, opt); err != nil { // warm: a model set goes on the free list
+		t.Fatal(err)
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Check(prog, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	const max = 256 << 10
+	if got := r.AllocedBytesPerOp(); got > max {
+		t.Errorf("Check allocates %d bytes per program, want <= %d", got, max)
+	}
+}
+
+// BenchmarkCheck runs the oracle over the first 40 programs of the seed-1
+// anchor corpus, as a campaign worker does: one op is the whole corpus.
+func BenchmarkCheck(b *testing.B) {
+	progs := make([]*isa.Program, 40)
+	opts := make([]Options, len(progs))
+	for i := range progs {
+		prog, seed := anchorProgram(b, i)
+		progs[i], opts[i] = prog, Options{Faults: DefaultFaults(seed)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, prog := range progs {
+			if _, err := Check(prog, opts[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N*len(progs)), "ms/program")
 }

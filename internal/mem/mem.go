@@ -8,12 +8,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"visa/internal/isa"
 )
 
 const pageBits = 16
 const pageSize = 1 << pageBits
+
+// A frame's dirty mask has one bit per chunk of 1<<chunkBits bytes: 16
+// chunks of 4 KiB per 64 KiB frame. Every write is aligned to its size
+// and no larger than a chunk, so a write never crosses a chunk.
+const chunkBits = 12
+const chunkSize = 1 << chunkBits
+
+// frame is one page of memory plus the chunks written since the last Reset.
+// The bytes are a separate exact 64 KiB allocation: a frame struct holding
+// them inline would be rounded up to the next 8 KiB size class.
+type frame struct {
+	b     []byte
+	dirty uint16
+}
+
+// mark records that bytes [off, off+n) of the frame were written.
+func (f *frame) mark(off, n int) {
+	for c := off >> chunkBits; c <= (off+n-1)>>chunkBits; c++ {
+		f.dirty |= 1 << c
+	}
+}
 
 // Device receives loads and stores addressed at or above isa.MMIOBase. The
 // VISA run-time framework implements it to expose the watchdog and cycle
@@ -31,10 +53,10 @@ const tlbSize = 8
 
 // Memory is a sparse paged byte-addressable memory, little-endian.
 type Memory struct {
-	pages map[uint32][]byte
+	pages map[uint32]*frame
 	// frames lists every allocated page frame in allocation order, so Reset
 	// can zero them with a deterministic walk instead of a map iteration.
-	frames [][]byte
+	frames []*frame
 	dev    Device
 
 	// Direct-mapped page cache (tlbKey[i] is valid iff tlbVal[i] != nil).
@@ -42,12 +64,12 @@ type Memory struct {
 	// replaced, so a cached translation can only go stale if the map entry
 	// itself disappeared — which never happens.
 	tlbKey [tlbSize]uint32
-	tlbVal [tlbSize][]byte
+	tlbVal [tlbSize]*frame
 }
 
 // New returns an empty memory with no device attached.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32][]byte)}
+	return &Memory{pages: make(map[uint32]*frame)}
 }
 
 // AttachDevice routes MMIO-page accesses to dev.
@@ -56,38 +78,44 @@ func (m *Memory) AttachDevice(dev Device) { m.dev = dev }
 // Reset drops all contents (the device is kept). Page frames are zeroed in
 // place and reused rather than released: a periodic-task harness resets the
 // machine hundreds of times per experiment, and reallocating the working
-// set each time dominated the engine-level allocation profile.
+// set each time dominated the engine-level allocation profile. Only the
+// chunks written since the last Reset are zeroed; the rest are still zero.
 func (m *Memory) Reset() {
-	for _, p := range m.frames {
-		clear(p)
+	for _, f := range m.frames {
+		for d := f.dirty; d != 0; d &= d - 1 {
+			c := bits.TrailingZeros16(d) << chunkBits
+			clear(f.b[c : c+chunkSize])
+		}
+		f.dirty = 0
 	}
 }
 
 // LoadImage copies data into memory starting at base.
 func (m *Memory) LoadImage(base uint32, data []byte) {
 	for len(data) > 0 {
-		p := m.page(base)
+		f := m.page(base)
 		off := int(base) & (pageSize - 1)
-		n := copy(p[off:], data)
+		n := copy(f.b[off:], data)
+		f.mark(off, n)
 		data = data[n:]
 		base += uint32(n)
 	}
 }
 
-func (m *Memory) page(addr uint32) []byte {
+func (m *Memory) page(addr uint32) *frame {
 	key := addr >> pageBits
 	i := key % tlbSize
-	if p := m.tlbVal[i]; p != nil && m.tlbKey[i] == key {
-		return p
+	if f := m.tlbVal[i]; f != nil && m.tlbKey[i] == key {
+		return f
 	}
-	p, ok := m.pages[key]
+	f, ok := m.pages[key]
 	if !ok {
-		p = make([]byte, pageSize)
-		m.pages[key] = p
-		m.frames = append(m.frames, p)
+		f = &frame{b: make([]byte, pageSize)}
+		m.pages[key] = f
+		m.frames = append(m.frames, f)
 	}
-	m.tlbKey[i], m.tlbVal[i] = key, p
-	return p
+	m.tlbKey[i], m.tlbVal[i] = key, f
+	return f
 }
 
 // AlignmentError reports a misaligned access.
@@ -110,9 +138,9 @@ func (m *Memory) ReadWord(addr uint32) (uint32, error) {
 	if m.isMMIO(addr) {
 		return m.dev.MMIORead(addr), nil
 	}
-	p := m.page(addr)
+	f := m.page(addr)
 	off := int(addr) & (pageSize - 1)
-	return binary.LittleEndian.Uint32(p[off : off+4]), nil
+	return binary.LittleEndian.Uint32(f.b[off : off+4]), nil
 }
 
 // WriteWord writes a 32-bit little-endian word.
@@ -124,9 +152,10 @@ func (m *Memory) WriteWord(addr uint32, v uint32) error {
 		m.dev.MMIOWrite(addr, v)
 		return nil
 	}
-	p := m.page(addr)
+	f := m.page(addr)
 	off := int(addr) & (pageSize - 1)
-	binary.LittleEndian.PutUint32(p[off:off+4], v)
+	binary.LittleEndian.PutUint32(f.b[off:off+4], v)
+	f.dirty |= 1 << (off >> chunkBits)
 	return nil
 }
 
@@ -136,9 +165,9 @@ func (m *Memory) ReadDouble(addr uint32) (float64, error) {
 	if addr%8 != 0 {
 		return 0, &AlignmentError{addr, 8}
 	}
-	p := m.page(addr)
+	f := m.page(addr)
 	off := int(addr) & (pageSize - 1)
-	return math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[off : off+8])), nil
 }
 
 // WriteDouble writes a float64 at an 8-byte-aligned address.
@@ -146,8 +175,9 @@ func (m *Memory) WriteDouble(addr uint32, v float64) error {
 	if addr%8 != 0 {
 		return &AlignmentError{addr, 8}
 	}
-	p := m.page(addr)
+	f := m.page(addr)
 	off := int(addr) & (pageSize - 1)
-	binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
+	binary.LittleEndian.PutUint64(f.b[off:off+8], math.Float64bits(v))
+	f.dirty |= 1 << (off >> chunkBits)
 	return nil
 }
